@@ -23,7 +23,6 @@ from atomzeta.ideals import (
     enumerate_ideals,
     factor_ideal,
     ideal_mul,
-    ideal_norm,
     primes_above,
     principal_ideal,
     splitting_type,

@@ -62,7 +62,7 @@ def _parse_kappa_grid(token: str) -> list[int]:
     for t in token.split(","):
         try:
             out.append(int(float(t)))
-        except ValueError:
+        except (ValueError, OverflowError):
             raise DomainError(f"bad kappa token: {t!r}")
     if out != sorted(set(out)) or out[0] < 1:
         raise DomainError("kappa grid must be strictly increasing positive integers")

@@ -20,6 +20,7 @@ from atomzeta.errors import (
     ZeroElementError,
 )
 from atomzeta.ring import FieldSpec, RingElement
+from atomzeta.sieve import primes_upto
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -132,10 +133,6 @@ def principal_ideal(e: RingElement) -> Ideal:
     if e.is_zero():
         raise ZeroElementError("zero does not generate a nonzero ideal")
     return ideal_from_elements(e.field, [e])
-
-
-def ideal_norm(ideal: Ideal) -> int:
-    return ideal.norm
 
 
 def ideal_mul(i1: Ideal, i2: Ideal) -> Ideal:
@@ -369,7 +366,7 @@ def enumerate_ideals_factored(
         ]
         return out
     prime_pool: list[PrimeIdeal] = []
-    for p in _primes_upto(kappa):
+    for p in primes_upto(kappa):
         for prime in primes_above(p, field):
             if prime.norm <= kappa:
                 prime_pool.append(prime)
@@ -408,9 +405,3 @@ def _rational_factorization(
         (PrimeIdeal(p, "rational", Ideal(field, p, 0, 1), 1), e)
         for p, e in sorted(factorint(m).items())
     )
-
-
-def _primes_upto(n: int) -> list[int]:
-    from atomzeta.sieve import primes_upto
-
-    return primes_upto(n)

@@ -74,8 +74,13 @@ class XSetSpec:
         if self.kind == "list":
             return sorted(v for v in set(self.values) if 1 <= v <= kappa)
         if self.kind == "file":
-            with open(self.path) as fh:
-                vals = {int(line) for line in fh if line.strip()}
+            try:
+                with open(self.path) as fh:
+                    vals = {int(line) for line in fh if line.strip()}
+            except OSError as exc:
+                raise DomainError(f"cannot read X-set file: {exc}")
+            except ValueError as exc:
+                raise DomainError(f"bad line in X-set file {self.path!r}: {exc}")
             return sorted(v for v in vals if 1 <= v <= kappa)
         raise DomainError(f"unknown X-set kind {self.kind!r}")
 

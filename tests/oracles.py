@@ -2,11 +2,13 @@
 
 Everything here deliberately avoids the library's own algorithms: Pell
 solutions come from a direct y-scan, irreducibility from a divisor-class
-scan, ideal enumeration from a raw HNF triple scan, and so on.
+scan, ideal enumeration from a raw HNF triple scan, Davenport constants
+from a subset-sum search over tuples, and so on.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import isqrt, sqrt
 
 from atomzeta.ring import (
@@ -162,3 +164,39 @@ def reduced_forms_brute(disc: int):
             if f.is_reduced():
                 out.append(f)
     return out
+
+
+def davenport_brute(invariants: tuple[int, ...]) -> int:
+    """Davenport constant of Z/m1 x ... x Z/mr: 1 + the longest zero-sum-free
+    sequence, by search over subset-sum sets memoised on the frozenset.
+
+    A longest extension of a zero-sum-free sequence with subset sums S has at
+    most n - 1 - |S| more terms (each term strictly enlarges S, which avoids
+    0), so a branch that reaches that bound ends the scan of its siblings.
+    """
+    elems = list(product(*(range(m) for m in invariants)))
+    index = {g: i for i, g in enumerate(elems)}
+    n = len(elems)
+    plus = [
+        [index[tuple((x + y) % m for x, y, m in zip(g, h, invariants))] for h in elems]
+        for g in elems
+    ]
+    neg = [index[tuple(-x % m for x, m in zip(g, invariants))] for g in elems]
+    memo: dict[frozenset, int] = {}
+
+    def longest(sums: frozenset) -> int:
+        if sums in memo:
+            return memo[sums]
+        bound = n - 1 - len(sums)
+        best = 0
+        for g in range(1, n):  # index 0 is the identity
+            if neg[g] in sums:  # g would close a zero sum
+                continue
+            grown = sums.union([g], [plus[g][s] for s in sums])
+            best = max(best, 1 + longest(grown))
+            if best == bound:
+                break
+        memo[sums] = best
+        return best
+
+    return 1 + longest(frozenset())

@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 
 import pytest
 
@@ -19,10 +21,10 @@ from atomzeta.classgroup import (
     reduce_form,
     reduced_forms,
 )
-from atomzeta.errors import RealFieldError
+from atomzeta.errors import CapExceededError, RealFieldError
 from atomzeta.ideals import enumerate_ideals, ideal_mul, primes_above, principal_ideal
 from atomzeta.ring import is_associated, make_field
-from oracles import reduced_forms_brute
+from oracles import davenport_brute, reduced_forms_brute
 
 F1 = make_field(-1)
 F5 = make_field(-5)
@@ -214,3 +216,32 @@ def test_davenport_rank_three():
     assert davenport_constant(AbelianGroupSpec((2, 2, 2))) == 4
     # D(C2 x C2 x C2n) = 2n + 2
     assert davenport_constant(AbelianGroupSpec((2, 2, 4))) == 6
+
+
+def _invariant_chains(max_order, prefix=(), order=1):
+    """Invariant factors m1 | m2 | ... of every abelian group of order <= max_order."""
+    yield prefix
+    last = prefix[-1] if prefix else 1
+    for m in range(max(2, last), max_order // order + 1, last):
+        yield from _invariant_chains(max_order, prefix + (m,), order * m)
+
+
+def test_davenport_matches_brute_oracle_up_to_order_24():
+    groups = list(_invariant_chains(24))
+    assert len(groups) == 37
+    assert {(2, 2, 2, 2), (2, 2, 4), (2, 2, 6)} <= set(groups)
+    for inv in groups:
+        assert davenport_constant(AbelianGroupSpec(inv)) == davenport_brute(inv), inv
+
+
+def test_davenport_search_cap_raises_at_once():
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="Z/2 x Z/2 x Z/10"):
+        davenport_constant(AbelianGroupSpec((2, 2, 10)))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_davenport_search_keeps_recursion_limit():
+    before = sys.getrecursionlimit()
+    assert davenport_constant(AbelianGroupSpec((2, 2, 6))) == 8
+    assert sys.getrecursionlimit() == before

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from atomzeta.cli import main
 
@@ -17,6 +21,20 @@ def test_ring_imaginary(capsys):
     assert "discriminant: -20" in out
     assert "class number: h = 2" in out
     assert "Davenport constant: D = 2" in out
+
+
+def test_ring_large_rank_two_group_subprocess():
+    # Z/2 x Z/22 (order 44) takes the closed form; the search never finished
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "atomzeta.cli", "ring", "-d", "-1034"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "class group: Z/2 x Z/22" in proc.stdout
+    assert "Davenport constant: D = 23" in proc.stdout
 
 
 def test_ring_rational_and_real(capsys):
@@ -121,6 +139,27 @@ def test_zeta_error_paths(capsys):
         capsys, "zeta", "-d", "-1", "--aset", "all-atoms", "--s", "1", "--kappa", "30,20"
     )
     assert code == 2
+
+
+def test_zeta_file_xset_errors_exit_2(tmp_path, capsys):
+    bad = tmp_path / "x.txt"
+    bad.write_text("2\n3\nabc\n")
+    for path in (bad, tmp_path / "missing.txt"):
+        code, out, err = run_cli(
+            capsys, "zeta", "-d", "-5", "--aset", f"atoms-dividing:file:{path}",
+            "--s", "1", "--kappa", "100",
+        )
+        assert code == 2 and out == "", path
+        assert err.startswith("atomzeta: error:") and str(path) in err
+
+
+def test_kappa_inf_exit_2(capsys):
+    for argv in (
+        ("zeta", "-d", "-1", "--aset", "all-atoms", "--s", "1", "--kappa", "10,inf"),
+        ("census", "-d", "-1", "--kappa", "inf"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("atomzeta: error:"), argv
 
 
 def test_census_csv(capsys):
