@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, sqrt
 
+from sympy import factorint
+
 from atomzeta.errors import (
     CapExceededError,
     DomainError,
@@ -394,15 +396,6 @@ def class_group_structure(field: FieldSpec) -> AbelianGroupSpec:
 DAVENPORT_CAP = 32
 
 
-def _is_prime_power(n: int) -> bool:
-    p = 2
-    while n % p:
-        p += 1
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def davenport_constant(group: AbelianGroupSpec) -> int:
     """Smallest D such that every length-D sequence has a nonempty zero-sum
     subsequence.
@@ -414,7 +407,7 @@ def davenport_constant(group: AbelianGroupSpec) -> int:
     """
     invs = group.invariants
     # m_1 | ... | m_r, so the group is a p-group iff m_r is a prime power
-    if group.rank <= 2 or _is_prime_power(invs[-1]):
+    if group.rank <= 2 or len(factorint(invs[-1])) == 1:
         return 1 + sum(m - 1 for m in invs)
     n = group.order
     if n > DAVENPORT_CAP:
