@@ -24,7 +24,7 @@ def test_ring_imaginary(capsys):
 
 
 def test_ring_large_rank_two_group_subprocess():
-    # Z/2 x Z/22 (order 44) takes the closed form; the search never finished
+    # Z/2 x Z/22 (order 44) must take the rank-2 closed form to beat the timeout
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -155,7 +155,7 @@ def test_zeta_file_xset_errors_exit_2(tmp_path, capsys):
 
 def test_kappa_inf_exit_2(capsys):
     for argv in (
-        ("zeta", "-d", "-1", "--aset", "all-atoms", "--s", "1", "--kappa", "10,inf"),
+        ("zeta", "-d", "-1", "--aset", "all-atoms", "--s", "1", "--kappa", "inf"),
         ("census", "-d", "-1", "--kappa", "inf"),
     ):
         code, _, err = run_cli(capsys, *argv)
