@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -113,6 +114,52 @@ def test_zeta_config_excludes_threads(capsys):
         "--s", "1/2", "--kappa", "100", "--threads", "4",
     )
     assert out1 == out2  # byte identical, threads excluded from config
+
+
+# SHA-256 of `zeta --s 1/2 --kappa 1e1,1e2,1e3` stdout per (field, aset),
+# captured before atoms-dividing sets were decided from class forms
+ZETA_GOLDEN = {
+    ("-1", "atoms-dividing:primes"): "fcee49fd8751b01de16de9defad5237ba756c88bb05d01d6368e7dd545ae52ca",
+    ("-1", "atoms-dividing:all"): "00e4c33499e55c2c2f7395190d2d13a67a2b87337b0d000f3f45b44665b1221e",
+    ("-1", "atoms-dividing:ap:3,4"): "93d466d59bf173199a8b56716a6388377881152b3aeffb68d01ef3566c348e22",
+    ("-1", "atoms-dividing:list:6,29,36"): "6430b2251a622bb89b159e6afb89b58186c998a6b45ce19515e98fcdf1b30902",
+    ("-1", "prime-ideals"): "a6f3bb50d8e8a8a6dadaa5c6bd4634308a5ff5ee3dbfe61e86ce8b03282b51b6",
+    ("-1", "all-atoms"): "180d46dc60a3c3c3a1af89a733a7333af022f42ce7e9e31a9d0b78afd07bbc64",
+    ("-5", "atoms-dividing:primes"): "53b884183d47dedd04a0939e7021d54db1c123d63d69a9cc68e21b9c76489571",
+    ("-5", "atoms-dividing:all"): "9ecf4cb2ba53e5e08864430949f7215a228c660af88d54f8a3e376dafab94b0a",
+    ("-5", "atoms-dividing:ap:3,4"): "8191dfef491970f6095a243171c9667f9a3c4b7853ce31418a4959154eb4c13f",
+    ("-5", "atoms-dividing:list:6,29,36"): "6392debe11703331ba9fc703d3e8c136b3cde88a461fc3b1b3144115e4496b78",
+    ("-5", "prime-ideals"): "a224b9dea317cdfa5f50deb92babc9135eb87e965ecd8d5cd3ab70216afd8ecf",
+    ("-5", "all-atoms"): "f946cfd8c76e41b9228362eb4b3a682600fae38c7c01d6cd95bb6240ad48f955",
+    ("-23", "atoms-dividing:primes"): "8d3cfb1aed5e61b133c2a4ae3810bb641c2588467135ec3a7fc8b6c4744b9c24",
+    ("-23", "atoms-dividing:all"): "f2e3411963bdb8a1e6d656b85aeec307481047f86428cd4475b6fe5c61736b07",
+    ("-23", "atoms-dividing:ap:3,4"): "f32aa93f8c9f71f23ea2943a3989103fb5606ca0d04a672f65bc61a6391dba24",
+    ("-23", "atoms-dividing:list:6,29,36"): "c586d354cb3942ccaaba6fe533414c5cffa603e2ab1d5b5720bcced5648ff7f2",
+    ("-23", "prime-ideals"): "4b4cb9355328b529fe4969ed0d173af82325336668045470567d403f1a4f567a",
+    ("-23", "all-atoms"): "8a34a35020531a69bae77278556ed98fd8653497a5dbe992ea0c4d2769e32454",
+    ("2", "atoms-dividing:primes"): "cb2a438207c1bf3f7ea330bf150f0aff9ebf13d42385674224701e7983803ff4",
+    ("2", "atoms-dividing:all"): "51b83bb339035755c828487e4b706ebb487865789afa2094215f0d2b78e365a6",
+    ("2", "atoms-dividing:ap:3,4"): "b38a9b2c20817cfc5309185a7e12f6088fb28e46afcc30b57a173e6b705a270c",
+    ("2", "atoms-dividing:list:6,29,36"): "55e3da2beb9a44d40d50310af3288e7adb170e03a7758c2dba431516f19217fd",
+    ("2", "prime-ideals"): "5c679f0df789c1a85b47b391f622694acfca1ba4c13631a2dc5b592e26f0d307",
+    ("2", "all-atoms"): "a1e652f3814d4f332789536342ee97929121609f18d92a2f241891ea3b8f66c8",
+    ("Q", "atoms-dividing:primes"): "529f1f7453d2a63a7d81fb9278e3cb71f15929d659090dc0b4b6339e4e83e784",
+    ("Q", "atoms-dividing:all"): "ed08f3074c8e8f50ce38fe96734deca61c1016917ec08bedf7f0c640822a7128",
+    ("Q", "atoms-dividing:ap:3,4"): "3866f9fbd4bdd1e7d89451b293cb3e736baa83aee3aa4b75fb164b780bac39f3",
+    ("Q", "atoms-dividing:list:6,29,36"): "0cdda9e220aaa2608a50587df31aadca2a19eb8d56cefb7aa6f884c57715705a",
+    ("Q", "prime-ideals"): "2ac90fafe1bb9a5a1b58fabf0b8efdc80225d4ae6d7919d4ebee6f5ea635dfc7",
+    ("Q", "all-atoms"): "b94af796f368cfeb8af87c5649c8b8b75d6dbca6c16963619e1c3d14afd82b6b",
+}
+
+
+def test_zeta_golden_bytes(capsys):
+    for (d, aset), digest in ZETA_GOLDEN.items():
+        code, out, _ = run_cli(
+            capsys, "zeta", "-d", d, "--aset", aset, "--s", "1/2",
+            "--kappa", "1e1,1e2,1e3",
+        )
+        assert code == 0, (d, aset)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, aset)
 
 
 def test_zeta_output_file(tmp_path, capsys):
