@@ -9,9 +9,11 @@ the prime-ideal factorization of (e) has principal product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from operator import le
 
-from sympy import isprime
+from sympy import factorint, isprime
 
 from atomzeta.errors import (
     InternalInvariantError,
@@ -19,8 +21,8 @@ from atomzeta.errors import (
     ZeroElementError,
 )
 from atomzeta.ideals import (
-    FactoredIdeal,
     Ideal,
+    _primes_above,
     factor_ideal,
     ideal_mul,
     ideal_pow,
@@ -33,7 +35,14 @@ from atomzeta.ring import (
     canonical_associate,
     exact_div,
 )
-from atomzeta.classgroup import is_principal, is_principal_class
+from atomzeta.classgroup import (
+    compose,
+    ideal_class_form,
+    is_principal,
+    is_principal_class,
+    principal_form,
+    reduce_form,
+)
 
 
 def _sub_boxes(exps: tuple[int, ...]):
@@ -43,16 +52,21 @@ def _sub_boxes(exps: tuple[int, ...]):
             yield k
 
 
-def _box_ideal(factored: FactoredIdeal, k: tuple[int, ...]) -> Ideal:
-    out = unit_ideal(factored.field)
-    for (prime, _), e in zip(factored.factors, k):
-        if e:
-            out = ideal_mul(out, ideal_pow(prime.ideal, e))
+def _box_ideal(field: FieldSpec, parts) -> Ideal:
+    """HNF of prod P^k over parts ((PrimeIdeal, k), ...); a prime ideal
+    and (p) = <p, p*w> itself need no multiplication."""
+    parts = [(prime, k) for prime, k in parts if k]
+    (prime, k), *rest = parts
+    if not rest and k == 1:
+        return prime.ideal
+    if (not rest and k == 2 and prime.kind == "ramified") or (
+        len(rest) == 1 and rest[0][0].p == prime.p and k == rest[0][1] == 1
+    ):
+        return Ideal(field, prime.p, 0, prime.p)
+    out = unit_ideal(field)
+    for prime, k in parts:
+        out = ideal_mul(out, ideal_pow(prime.ideal, k))
     return out
-
-
-def _box_principal(factored: FactoredIdeal, k: tuple[int, ...]) -> bool:
-    return is_principal_class(_box_ideal(factored, k))
 
 
 def is_atom(e: RingElement) -> bool:
@@ -61,17 +75,11 @@ def is_atom(e: RingElement) -> bool:
         raise ZeroElementError("zero is not an atom candidate")
     if e.is_unit():
         return False
-    if isprime(abs(e.norm())):
+    n = abs(e.norm())
+    if isprime(n):
         return True  # single prime ideal, no proper sub-multiset
-    factored = factor_ideal(principal_ideal(e))
-    exps = tuple(v for _, v in factored.factors)
-    full = exps
-    for k in _sub_boxes(exps):
-        if k == full:
-            continue
-        if _box_principal(factored, k):
-            return False
-    return True
+    fac = factor_ideal(principal_ideal(e)).factors
+    return any(norm == n for norm, _ in _atom_finder(e.field, n)(fac))
 
 
 @dataclass(frozen=True)
@@ -111,11 +119,8 @@ def factor_into_atoms(e: RingElement) -> AtomFactorization:
         boxes = sorted(_sub_boxes(exps), key=lambda k: (sum(k), k))
         extracted = None
         for k in boxes:
-            ideal = unit_ideal(e.field)
-            for (prime, _), kk in zip(remaining, k):
-                if kk:
-                    ideal = ideal_mul(ideal, ideal_pow(prime.ideal, kk))
-            ok, gen = is_principal(ideal)
+            parts = [(prime, kk) for (prime, _), kk in zip(remaining, k)]
+            ok, gen = is_principal(_box_ideal(e.field, parts))
             if ok:
                 extracted = (k, gen)
                 break
@@ -138,62 +143,74 @@ def factor_into_atoms(e: RingElement) -> AtomFactorization:
     return AtomFactorization(unit, tuple(ordered))
 
 
+def _factor_rational(field: FieldSpec, factors: dict[int, int]) -> list:
+    """Prime factorization ((PrimeIdeal, e), ...) of (m), m = prod p^e given
+    as {p: e} with every p certified prime, read off the splitting types:
+    P^e P'^e for a split p, P^e for an inert p and P^2e for a ramified p."""
+    return [
+        (prime, 2 * e if prime.kind == "ramified" else e)
+        for p, e in sorted(factors.items())
+        for prime in _primes_above(p, field)
+    ]
+
+
+def _atom_finder(field: FieldSpec, cap: int):
+    """atoms(fac) -> [(norm, parts)]: the atoms dividing the ideal with
+    prime factorization fac = ((PrimeIdeal, e), ...) whose ideals have norm
+    <= cap, by increasing norm; parts is ((PrimeIdeal, k), ...), all k >= 1.
+
+    A sub-box is principal iff the product of its prime classes is trivial:
+    composed reduced forms for imaginary fields (products memoised for the
+    finder's lifetime, at most h^2 of them), the HNF principality test for
+    real fields and Q (always true there).  An atom is a principal sub-box
+    with no principal proper sub-box; those have smaller norm, so the cap
+    never hides one.
+    """
+    if field.is_imaginary:
+        one = reduce_form(principal_form(field.disc))
+        cls, principal = ideal_class_form, one.__eq__
+        mul = lru_cache(maxsize=None)(compose)  # pairs of reduced forms
+    else:
+        one, mul, principal = unit_ideal(field), ideal_mul, is_principal_class
+
+        def cls(ideal):
+            return ideal
+
+    def atoms(fac) -> list:
+        pool = [(prime, e) for prime, e in fac if prime.norm <= cap]
+        boxes = [((), 1, one)]  # (exponents, norm, class); the empty box first
+        for prime, e in pool:
+            n, pc = prime.norm, cls(prime.ideal)
+            grown = []
+            for k, norm, c in boxes:
+                for j in range(e + 1):
+                    grown.append((k + (j,), norm, c))
+                    norm *= n
+                    if j == e or norm > cap:
+                        break
+                    c = mul(c, pc)
+            boxes = grown
+        # a principal proper sub-box holds an atom of smaller norm, which
+        # this increasing-norm scan has already found
+        found = []
+        for norm, k in sorted((norm, k) for k, norm, c in boxes[1:] if principal(c)):
+            if not any(all(map(le, k2, k)) for _, k2 in found):
+                found.append((norm, k))
+        return [
+            (norm, tuple((pool[i][0], j) for i, j in enumerate(k) if j))
+            for norm, k in found
+        ]
+
+    return atoms
+
+
 def atom_ideals_dividing(m: int, field: FieldSpec, norm_cap: int | None = None) -> list[Ideal]:
     """Principal divisor ideals of (m) whose generators are atoms."""
     if m < 1:
         raise ZeroElementError("m must be a positive integer")
-    if m == 1:
-        return []
-    if field.is_rational:
-        from sympy import factorint
-
-        out = [Ideal(field, p, 0, 1) for p in sorted(factorint(m))]
-        return [i for i in out if norm_cap is None or i.norm <= norm_cap]
-    if isprime(m):
-        # (p) factors straight off the splitting type; skips the generic
-        # factor_ideal machinery on the hot X = primes path
-        from atomzeta.ideals import FactoredIdeal as _FI, primes_above
-
-        pl = primes_above(m, field)
-        if pl[0].kind == "split":
-            factored = _FI(field, ((pl[0], 1), (pl[1], 1)))
-        elif pl[0].kind == "inert":
-            factored = _FI(field, ((pl[0], 1),))
-        else:
-            factored = _FI(field, ((pl[0], 2),))
-    else:
-        factored = factor_ideal(principal_ideal(field.element(m)))
-    exps = tuple(v for _, v in factored.factors)
-    norms = tuple(p.norm for p, _ in factored.factors)
-    principal_boxes = []
-    for k in _sub_boxes(exps):
-        n = 1
-        for nn, kk in zip(norms, k):
-            n *= nn**kk
-        if norm_cap is not None and n > norm_cap:
-            continue
-        if _box_principal(factored, k):
-            principal_boxes.append(k)
-    out = []
-    for k in principal_boxes:
-        # atomic iff no other principal box sits strictly inside this one
-        if any(
-            k2 != k and all(a <= b for a, b in zip(k2, k))
-            for k2 in principal_boxes
-        ):
-            # a smaller principal box within the cap rules it out, but a
-            # sub-box may have been skipped by the cap; it can only have
-            # smaller norm, so with a cap in place re-check uncapped
-            continue
-        if norm_cap is not None:
-            smaller = False
-            for k2 in _sub_boxes(k):
-                if k2 != k and _box_principal(factored, k2):
-                    smaller = True
-                    break
-            if smaller:
-                continue
-        out.append(_box_ideal(factored, k))
+    atoms_of = _atom_finder(field, m * m if norm_cap is None else norm_cap)
+    fac = _factor_rational(field, factorint(m))
+    out = [_box_ideal(field, parts) for _, parts in atoms_of(fac)]
     return sorted(out, key=lambda i: i.sort_key())
 
 

@@ -258,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prec", type=int, default=DEFAULT_PREC_BITS,
                        help="mantissa precision in bits (>= 80)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default ATOMZETA_THREADS or 1)")
+                       help="accepted and validated; changes neither output nor "
+                            "speed (default ATOMZETA_THREADS or 1)")
 
     p_ring = sub.add_parser("ring", help="field invariants and class data")
     common(p_ring)

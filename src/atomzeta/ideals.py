@@ -223,22 +223,20 @@ class PrimeIdeal:
 
 
 def splitting_type(p: int, field: FieldSpec) -> str:
-    if not isprime(p):
-        raise DomainError(f"{p} is not prime")
-    if field.is_rational:
-        return "rational"
-    k = kronecker_symbol(field.disc, p)
-    if k == 1:
-        return "split"
-    if k == -1:
-        return "inert"
-    return "ramified"
+    return primes_above(p, field)[0].kind
 
 
 def primes_above(p: int, field: FieldSpec) -> list[PrimeIdeal]:
-    kind = splitting_type(p, field)
-    if kind == "rational":
-        return [PrimeIdeal(p, kind, Ideal(field, p, 0, 1), 1)]
+    if not isprime(p):
+        raise DomainError(f"{p} is not prime")
+    return _primes_above(p, field)
+
+
+def _primes_above(p: int, field: FieldSpec) -> list[PrimeIdeal]:
+    """primes_above for a p already certified prime by a sieve or factorint."""
+    if field.is_rational:
+        return [PrimeIdeal(p, "rational", Ideal(field, p, 0, 1), 1)]
+    kind = {1: "split", -1: "inert", 0: "ramified"}[kronecker_symbol(field.disc, p)]
     d = field.d
     if kind == "inert":
         return [PrimeIdeal(p, kind, Ideal(field, p, 0, p), 2)]
@@ -323,7 +321,7 @@ def factor_ideal(ideal: Ideal) -> FactoredIdeal:
         raise DomainError("ideal norm exceeds the supported factoring range")
     factors: list[tuple[PrimeIdeal, int]] = []
     for p in sorted(factorint(n)):
-        for prime in primes_above(p, f):
+        for prime in _primes_above(p, f):
             v = valuation(ideal, prime)
             if v:
                 factors.append((prime, v))
@@ -367,7 +365,7 @@ def enumerate_ideals_factored(
         return out
     prime_pool: list[PrimeIdeal] = []
     for p in primes_upto(kappa):
-        for prime in primes_above(p, field):
+        for prime in _primes_above(p, field):
             if prime.norm <= kappa:
                 prime_pool.append(prime)
     # sorted by norm so the extension loop below can stop early; an

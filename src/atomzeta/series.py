@@ -9,29 +9,24 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import e as _E, log
 
 import mpmath
+from sympy import factorint
 
-from atomzeta.atoms import _sub_boxes, atom_ideals_dividing
+from atomzeta.atoms import _atom_finder, _box_ideal, _factor_rational
 from atomzeta.classgroup import (
     class_group_structure,
     davenport_constant,
-    ideal_class_form,
     is_principal_class,
-    principal_form,
-    reduce_form,
-    compose,
-    form_pow,
 )
 from atomzeta.errors import DomainError
 from atomzeta.ideals import (
     Ideal,
+    _primes_above,
     enumerate_ideals_factored,
-    primes_above,
 )
 from atomzeta.ring import FieldSpec
 from atomzeta.sieve import primes_upto
@@ -147,48 +142,23 @@ def parse_aset(spec: str) -> ASetSpec:
 # set builders
 
 
-def _atomic_from_factorization(field: FieldSpec, fac) -> bool:
-    """Does this principal ideal have an atomic generator?
-
-    fac: tuple of (PrimeIdeal, exponent).  Assumes the full product is
-    principal; checks no proper nonempty sub-product is principal.
-    """
-    if field.is_rational:
-        return len(fac) == 1 and fac[0][1] == 1
-    exps = tuple(v for _, v in fac)
-    if sum(exps) == 1:
-        return True  # a principal prime ideal
-    if field.is_imaginary:
-        ident = reduce_form(principal_form(field.disc))
-        classes = [ideal_class_form(p.ideal) for p, _ in fac]
-        for k in _sub_boxes(exps):
-            if k == exps:
-                continue
-            acc = ident
-            for cls, kk in zip(classes, k):
-                if kk:
-                    acc = compose(acc, form_pow(cls, kk))
-            if acc == ident:
-                return False
-        return True
-    # real fields: fall back to principality-by-search on each sub-product
-    from atomzeta.ideals import ideal_mul, ideal_pow, unit_ideal
-
-    for k in _sub_boxes(exps):
-        if k == exps:
+def _atoms_dividing(field: FieldSpec, xset: XSetSpec, kappa: int):
+    """(norm, least m, parts) for each atom of norm <= kappa that divides
+    some m <= kappa in X, once each, in order of least m."""
+    atoms_of = _atom_finder(field, kappa)
+    sieved = xset.kind == "primes"
+    seen = set()
+    for m in xset.members_upto(kappa):
+        if m < 2:
             continue
-        acc = unit_ideal(field)
-        for (p, _), kk in zip(fac, k):
-            if kk:
-                acc = ideal_mul(acc, ideal_pow(p.ideal, kk))
-        if is_principal_class(acc):
-            return False
-    return True
-
-
-def _chunks(seq, n):
-    size = (len(seq) + n - 1) // n
-    return [seq[i : i + size] for i in range(0, len(seq), size)] or [[]]
+        fac = _factor_rational(field, {m: 1} if sieved else factorint(m))
+        for norm, parts in atoms_of(fac):
+            if not sieved:  # atoms dividing distinct primes are distinct
+                key = tuple(x for prime, k in parts for x in (prime.p, prime.ideal.b, k))
+                if key in seen:
+                    continue
+                seen.add(key)
+            yield norm, m, parts
 
 
 def build_ideal_set(
@@ -199,44 +169,37 @@ def build_ideal_set(
 
     For atoms-dividing-X the X members are additionally truncated at
     m <= kappa; omitted atoms can only lower the reported sums, which is
-    conservative for a divergence exhibit.
+    conservative for a divergence exhibit.  `threads` is accepted and
+    validated but changes nothing.
     """
     if kappa < 1:
         raise DomainError("kappa must be >= 1")
-    threads = threads or default_threads()
+    if threads is None:
+        default_threads()  # validates ATOMZETA_THREADS; the count changes nothing
     if aspec.kind == "prime-ideals":
-        out = []
-        for p in primes_upto(kappa):
-            for prime in primes_above(p, field):
-                if prime.norm <= kappa:
-                    out.append(prime.ideal)
-        return sorted(set(out), key=lambda i: i.sort_key())
+        out = [
+            prime.ideal
+            for p in primes_upto(kappa)
+            for prime in _primes_above(p, field)
+            if prime.norm <= kappa
+        ]
+        return sorted(out, key=lambda i: i.sort_key())
     if aspec.kind == "all-atoms":
-        out = []
-        for ideal, fac in enumerate_ideals_factored(field, kappa):
-            if ideal.is_unit_ideal():
-                continue
-            if not is_principal_class(ideal):
-                continue
-            if _atomic_from_factorization(field, fac):
-                out.append(ideal)
-        return sorted(set(out), key=lambda i: i.sort_key())
+        atoms_of = _atom_finder(field, kappa)
+        # enumerate_ideals_factored lists each ideal once, sorted by (norm, a, b)
+        return [
+            ideal
+            for ideal, fac in enumerate_ideals_factored(field, kappa)
+            if not ideal.is_unit_ideal()
+            and is_principal_class(ideal)  # one class test before the sub-box search
+            and any(n == ideal.norm for n, _ in atoms_of(fac))
+        ]
     if aspec.kind == "atoms-dividing":
-        ms = [m for m in aspec.xset.members_upto(kappa) if m >= 2]
-
-        def work(chunk):
-            found = []
-            for m in chunk:
-                found.extend(atom_ideals_dividing(m, field, norm_cap=kappa))
-            return found
-
-        if threads > 1 and len(ms) > 64:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = pool.map(work, _chunks(ms, threads * 4))
-            out = [i for part in parts for i in part]
-        else:
-            out = work(ms)
-        return sorted(set(out), key=lambda i: i.sort_key())
+        out = [
+            _box_ideal(field, parts)
+            for _, _, parts in _atoms_dividing(field, aspec.xset, kappa)
+        ]
+        return sorted(out, key=lambda i: i.sort_key())
     raise DomainError(f"unknown ideal-set kind {aspec.kind!r}")
 
 
@@ -254,7 +217,10 @@ def zeta_partial(
 
     Terms are grouped by norm and accumulated in increasing-norm order.
     """
-    norms = [i.norm for i in ideals if i.norm <= kappa]
+    return _norm_sum([i.norm for i in ideals if i.norm <= kappa], s, prec_bits)
+
+
+def _norm_sum(norms: list[int], s: Fraction, prec_bits: int) -> tuple[mpmath.mpf, int]:
     count = len(norms)
     with mpmath.workprec(max(prec_bits, 80)):
         if s == 0:
@@ -304,12 +270,23 @@ def divergence_table(
     threads: int | None = None,
     increment_floor: float = 0.05,
 ) -> SeriesTable:
-    if list(kappa_grid) != sorted(set(kappa_grid)):
-        raise DomainError("kappa grid must be strictly increasing")
+    if not kappa_grid or list(kappa_grid) != sorted(set(kappa_grid)):
+        raise DomainError("kappa grid must be nonempty and strictly increasing")
+    if kappa_grid[0] < 1:
+        raise DomainError("kappa must be >= 1")
+    if threads is None:
+        threads = default_threads()  # validated; the count changes nothing
+    # one build at the largest kappa, kept as (norm, least m in X) with
+    # m = 1 for sets not drawn from X; a row counts the pairs with both <= kappa
+    kmax = kappa_grid[-1]
+    if aspec.kind == "atoms-dividing":
+        table = [(n, m) for n, m, _ in _atoms_dividing(field, aspec.xset, kmax)]
+    else:
+        table = [(i.norm, 1) for i in build_ideal_set(field, aspec, kmax, threads)]
     rows = []
     for kappa in kappa_grid:
-        ideals = build_ideal_set(field, aspec, kappa, threads=threads)
-        total, count = zeta_partial(ideals, s, kappa, prec_bits)
+        norms = [n for n, m in table if n <= kappa and m <= kappa]
+        total, count = _norm_sum(norms, s, prec_bits)
         rows.append(SeriesRow(kappa, count, total))
     return SeriesTable(
         field.label(), aspec.label(), s, tuple(rows), increment_floor

@@ -17,6 +17,7 @@ from atomzeta.series import (
     zeta_partial,
 )
 from atomzeta.sieve import primes_upto
+from oracles import atoms_dividing_brute, reps_by_norm
 
 F1 = make_field(-1)
 F5 = make_field(-5)
@@ -164,6 +165,53 @@ def test_divergence_table_shapes_and_monotonicity():
     assert sums == sorted(sums) and counts == sorted(counts)
     assert len(table.increments) == 2
     assert table.s == Fraction(1, 2)
+
+
+def test_divergence_table_counts_match_element_scan_oracle():
+    # each row counts the associate classes of atoms with |N| <= kappa that
+    # divide some m <= kappa in X, found here by exhaustive element scan
+    grid = [10, 50, 120]
+    for d in (-1, -5, -14, -23):
+        f = make_field(d)
+        table = reps_by_norm(f, grid[-1])
+        for x in ("all", "list:6,29,36"):
+            rows = divergence_table(
+                f, parse_aset(f"atoms-dividing:{x}"), Fraction(1, 2), grid
+            ).rows
+            for row in rows:
+                atoms = set()
+                for m in parse_xset(x).members_upto(row.kappa):
+                    if m >= 2:
+                        atoms.update(
+                            a for a in atoms_dividing_brute(m, f, table)
+                            if abs(a.norm()) <= row.kappa
+                        )
+                assert row.count == len(atoms), (d, x, row.kappa)
+
+
+def test_divergence_table_truncates_x_by_least_m():
+    # the atom 2 has norm 4 <= 5, but the only member of X it divides is
+    # 6 > 5; a norm-only filter of the kappa = 10 set would count it at 5
+    table = divergence_table(
+        F5, parse_aset("atoms-dividing:list:6"), Fraction(1, 2), [5, 10]
+    )
+    assert [r.count for r in table.rows] == [0, 4]
+
+
+def test_divergence_rows_equal_per_kappa_builds():
+    grid = [10, 60, 200]
+    s = Fraction(1, 2)
+    for f in (F5, make_field(-23), make_field(2), Q):
+        for spec in ("atoms-dividing:all", "atoms-dividing:ap:3,4",
+                     "prime-ideals", "all-atoms"):
+            aspec = parse_aset(spec)
+            for row in divergence_table(f, aspec, s, grid).rows:
+                total, count = zeta_partial(
+                    build_ideal_set(f, aspec, row.kappa), s, row.kappa
+                )
+                assert (row.count, row.partial_sum) == (count, total), (
+                    f.label(), spec, row.kappa,
+                )
 
 
 def test_divergence_table_rejects_bad_grid():
