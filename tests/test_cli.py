@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from atomzeta.cli import main
+from atomzeta.ring import make_field
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +161,38 @@ def test_zeta_golden_bytes(capsys):
         )
         assert code == 0, (d, aset)
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, aset)
+
+
+# SHA-256 of the concatenated `factor -d d -- TOKEN` stdout per field, over
+# m = 2..60 and then every non-unit x,y with |x|, |y| <= 5 row by row,
+# captured before factor_into_atoms went through the atom finder
+FACTOR_GOLDEN = {
+    "-1": "dadc1866239b23b9ed56b7b4f851fd0d3f7c6a02a199036557e3961e517a20f5",
+    "-5": "a77d8888777ea3d8abc57091ef82a77d2b11fbd9cd5274ba5a145fd267a0e85e",
+    "-14": "53b004d272a778196c38fdc725c7b54872434f85b70ba4f4229995f148b06002",
+    "-23": "bbc356b5e3dd7707f9b29a0def628236a61679db19ed6380b4b875efc0febc5f",
+    "2": "49f13ad5f9b2afca307fa28c74b5a507be77750ada10eae01d57b732037b6ca0",
+    "3": "1469155c528a469bea5aecb90026274cbb750dee6c7baea070da825f54cbefcf",
+    "5": "2a30ff32c7a2fe9383c54048276f666a0d71538eb90b5298f73396fb9a450292",
+    "10": "e5a46c4ee5b4ed3d5b5e6f60dec1c0ac738552cf8612faef7cd8655514b4f157",
+}
+
+
+def test_factor_golden_bytes(capsys):
+    for d, digest in FACTOR_GOLDEN.items():
+        field = make_field(int(d))
+        tokens = [str(m) for m in range(2, 61)] + [
+            f"{x},{y}"
+            for x in range(-5, 6)
+            for y in range(-5, 6)
+            if not (field.element(x, y).is_zero() or field.element(x, y).is_unit())
+        ]
+        h = hashlib.sha256()
+        for tok in tokens:
+            code, out, _ = run_cli(capsys, "factor", "-d", d, "--", tok)
+            assert code == 0, (d, tok)
+            h.update(out.encode())
+        assert h.hexdigest() == digest, d
 
 
 def test_zeta_output_file(tmp_path, capsys):
