@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from operator import le
 
 from sympy import factorint, isprime
@@ -45,13 +44,6 @@ from atomzeta.classgroup import (
 )
 
 
-def _sub_boxes(exps: tuple[int, ...]):
-    """All nonzero exponent vectors k with 0 <= k_i <= e_i."""
-    for k in product(*(range(e + 1) for e in exps)):
-        if any(k):
-            yield k
-
-
 def _box_ideal(field: FieldSpec, parts) -> Ideal:
     """HNF of prod P^k over parts ((PrimeIdeal, k), ...); a prime ideal
     and (p) = <p, p*w> itself need no multiplication."""
@@ -79,7 +71,8 @@ def is_atom(e: RingElement) -> bool:
     if isprime(n):
         return True  # single prime ideal, no proper sub-multiset
     fac = factor_ideal(principal_ideal(e)).factors
-    return any(norm == n for norm, _ in _atom_finder(e.field, n)(fac))
+    # the whole box is the largest, so it comes first only if it is the only atom
+    return next(_atom_finder(e.field, n)(fac))[0] == n
 
 
 @dataclass(frozen=True)
@@ -103,33 +96,28 @@ class AtomFactorization:
 def factor_into_atoms(e: RingElement) -> AtomFactorization:
     """One valid atom factorization of e (non-uniqueness expected).
 
-    Repeatedly extracts a generator of a minimal nonempty principal
-    sub-product of the remaining prime-ideal multiset; minimality makes
-    each extracted generator an atom.
+    Repeatedly extracts a generator of the least principal sub-product of
+    the remaining prime-ideal multiset by (size, exponent vector); it has
+    no principal proper sub-product, which makes the generator an atom.
     """
     if e.is_zero():
         raise ZeroElementError("zero has no atom factorization")
     if e.is_unit():
         raise UnitElementError("units have no atom factorization")
-    factored = factor_ideal(principal_ideal(e))
-    remaining = [list(pair) for pair in [(p, v) for p, v in factored.factors]]
+    field = e.field
+    atoms_of = _atom_finder(field, abs(e.norm()))
+    remaining = factor_ideal(principal_ideal(e)).factors
     atoms: list[RingElement] = []
-    while any(v for _, v in remaining):
-        exps = tuple(v for _, v in remaining)
-        boxes = sorted(_sub_boxes(exps), key=lambda k: (sum(k), k))
-        extracted = None
-        for k in boxes:
-            parts = [(prime, kk) for (prime, _), kk in zip(remaining, k)]
-            ok, gen = is_principal(_box_ideal(e.field, parts))
-            if ok:
-                extracted = (k, gen)
-                break
-        if extracted is None:
+    while remaining:
+        _, parts, c = next(atoms_of(remaining), (None, None, None))
+        if parts is None:
             raise InternalInvariantError("no principal sub-product found")
-        k, gen = extracted
+        ok, gen = is_principal(_box_ideal(field, parts) if field.is_imaginary else c)
+        if not ok:
+            raise InternalInvariantError("atom sub-product has no generator")
         atoms.append(canonical_associate(gen))
-        for pair, kk in zip(remaining, k):
-            pair[1] -= kk
+        taken = dict(parts)
+        remaining = [(p, v - taken.get(p, 0)) for p, v in remaining if v > taken.get(p, 0)]
     prod_elem = e.field.one
     for a in atoms:
         prod_elem = prod_elem * a
@@ -154,52 +142,64 @@ def _factor_rational(field: FieldSpec, factors: dict[int, int]) -> list:
     ]
 
 
-def _atom_finder(field: FieldSpec, cap: int):
-    """atoms(fac) -> [(norm, parts)]: the atoms dividing the ideal with
-    prime factorization fac = ((PrimeIdeal, e), ...) whose ideals have norm
-    <= cap, by increasing norm; parts is ((PrimeIdeal, k), ...), all k >= 1.
-
-    A sub-box is principal iff the product of its prime classes is trivial:
-    composed reduced forms for imaginary fields (products memoised for the
-    finder's lifetime, at most h^2 of them), the HNF principality test for
-    real fields and Q (always true there).  An atom is a principal sub-box
-    with no principal proper sub-box; those have smaller norm, so the cap
-    never hides one.
-    """
+@lru_cache(maxsize=None)
+def _class_arith(field: FieldSpec):
+    """(cls, mul, principal) for the classes of one field's sub-boxes:
+    reduced forms composed through a memo that lives as long as the field
+    (at most h^2 products) for imaginary fields; HNF products and the
+    principality test for real fields and Q (always true there)."""
     if field.is_imaginary:
         one = reduce_form(principal_form(field.disc))
-        cls, principal = ideal_class_form, one.__eq__
-        mul = lru_cache(maxsize=None)(compose)  # pairs of reduced forms
-    else:
-        one, mul, principal = unit_ideal(field), ideal_mul, is_principal_class
+        return ideal_class_form, lru_cache(maxsize=None)(compose), one.__eq__
+    return (lambda ideal: ideal), ideal_mul, is_principal_class
 
-        def cls(ideal):
-            return ideal
 
-    def atoms(fac) -> list:
+def _atom_finder(field: FieldSpec, cap: int):
+    """atoms(fac) yields the atoms dividing the ideal with prime factorization
+    fac = ((PrimeIdeal, e), ...) whose ideals have norm <= cap, as
+    (norm, parts, c) in order of (size, exponent vector): parts is
+    ((PrimeIdeal, k), ...) with every k >= 1, and c is the sub-box's class,
+    its reduced form for imaginary fields and its HNF otherwise.
+
+    Sub-boxes grow one prime at a time, each at or after the index it last
+    grew at, so each is made once.  A sub-box is principal iff the product
+    of its prime classes is trivial.  An atom is a principal sub-box with no
+    principal proper sub-box; those are smaller, so they are found first,
+    and a sub-box holding one is neither tested nor grown.  Proper sub-boxes
+    have smaller norm, so the cap never hides one.
+    """
+    cls, mul, principal = _class_arith(field)
+
+    def atoms(fac):
         pool = [(prime, e) for prime, e in fac if prime.norm <= cap]
-        boxes = [((), 1, one)]  # (exponents, norm, class); the empty box first
-        for prime, e in pool:
-            n, pc = prime.norm, cls(prime.ideal)
-            grown = []
-            for k, norm, c in boxes:
-                for j in range(e + 1):
-                    grown.append((k + (j,), norm, c))
-                    norm *= n
-                    if j == e or norm > cap:
-                        break
-                    c = mul(c, pc)
-            boxes = grown
-        # a principal proper sub-box holds an atom of smaller norm, which
-        # this increasing-norm scan has already found
+        n = len(pool)
+        classes = [None] * n  # prime classes, made when first needed
         found = []
-        for norm, k in sorted((norm, k) for k, norm, c in boxes[1:] if principal(c)):
-            if not any(all(map(le, k2, k)) for _, k2 in found):
-                found.append((norm, k))
-        return [
-            (norm, tuple((pool[i][0], j) for i, j in enumerate(k) if j))
-            for norm, k in found
+        # (exponents, norm, class of the parent box, index grown); each level
+        # in increasing exponent order
+        level = [
+            ((0,) * i + (1,) + (0,) * (n - 1 - i), pool[i][0].norm, None, i)
+            for i in reversed(range(n))
         ]
+        while level:
+            grown = []
+            for k, norm, c, i in level:
+                if found and any(all(map(le, a, k)) for a in found):
+                    continue
+                if classes[i] is None:
+                    classes[i] = cls(pool[i][0].ideal)
+                c = classes[i] if c is None else mul(c, classes[i])
+                if principal(c):
+                    found.append(k)
+                    yield norm, tuple((pool[j][0], kj) for j, kj in enumerate(k) if kj), c
+                    continue
+                for j in reversed(range(i, n)):
+                    prime, e = pool[j]
+                    if k[j] < e and norm * prime.norm <= cap:
+                        grown.append(
+                            (k[:j] + (k[j] + 1,) + k[j + 1:], norm * prime.norm, c, j)
+                        )
+            level = grown
 
     return atoms
 
@@ -210,7 +210,7 @@ def atom_ideals_dividing(m: int, field: FieldSpec, norm_cap: int | None = None) 
         raise ZeroElementError("m must be a positive integer")
     atoms_of = _atom_finder(field, m * m if norm_cap is None else norm_cap)
     fac = _factor_rational(field, factorint(m))
-    out = [_box_ideal(field, parts) for _, parts in atoms_of(fac)]
+    out = [_box_ideal(field, parts) for _, parts, _ in atoms_of(fac)]
     return sorted(out, key=lambda i: i.sort_key())
 
 

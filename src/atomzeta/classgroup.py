@@ -178,82 +178,45 @@ def ideal_class_form(ideal: Ideal) -> QuadForm:
 # principality
 
 
-def _generator_candidates_imag(ideal: Ideal):
-    """Elements of I with |N| = N(I): finite ellipse scan (imaginary case)."""
-    field = ideal.field
-    n = ideal.norm
-    dd = abs(field.d)
-    if field.half_basis:
-        # (2x + y)^2 + |d| y^2 = 4N
-        ymax = isqrt(4 * n // dd)
-        for y in range(ymax + 1):
-            t2 = 4 * n - dd * y * y
-            t = isqrt(t2)
-            if t * t != t2:
-                continue
-            for ts in ({t, -t} if t else {0}):
-                if (ts - y) % 2 == 0:
-                    e = field.element((ts - y) // 2, y)
-                    if ideal.contains(e):
-                        yield e
-    else:
-        # x^2 + |d| y^2 = N
-        ymax = isqrt(n // dd)
-        for y in range(ymax + 1):
-            t2 = n - dd * y * y
-            t = isqrt(t2)
-            if t * t != t2:
-                continue
-            for ts in ({t, -t} if t else {0}):
-                e = field.element(ts, y)
-                if ideal.contains(e):
-                    yield e
+def _generator_candidates(ideal: Ideal):
+    """Elements of I with |N(e)| = N(I), complete up to sign: the solutions
+    of (2x + y)^2 - d y^2 = +-4N (x^2 - d y^2 = +-N when w = sqrt(d)) with
+    0 <= y <= bound, signs of x handled per y.
 
-
-def _generator_candidates_real(ideal: Ideal):
-    """Elements of I with |N(e)| = N(I), complete up to sign.
-
-    Any generator has an associate in the band [sqrt(N), eps*sqrt(N)) of the
-    positive embedding (after a sign flip); there |sigma| < eps*sqrt(N) and
-    |sigma-bar| <= sqrt(N), hence |y|*sqrt(d) <= (1 + eps)*sqrt(N).  The scan
-    over 0 <= y <= bound (signs of x handled per y, overall sign irrelevant)
-    therefore finds a generator whenever one exists.
+    For imaginary d the bound is the ellipse's.  For real d, any generator
+    has an associate in the band [sqrt(N), eps*sqrt(N)) of the positive
+    embedding (after a sign flip); there |sigma| < eps*sqrt(N) and
+    |sigma-bar| <= sqrt(N), hence |y|*sqrt(d) <= (1 + eps)*sqrt(N).
     """
     field = ideal.field
-    n = ideal.norm
-    d = field.d
-    eps = fundamental_unit(field)
-    if field.half_basis:
-        sig = eps.x + eps.y * (1 + sqrt(d)) / 2
+    n, d = ideal.norm, field.d
+    scale = 4 if field.half_basis else 1
+    if field.is_imaginary:
+        bound = isqrt(scale * n // -d)
     else:
-        sig = eps.x + eps.y * sqrt(d)
-    bound = int((1.0 + sig) * sqrt(n) / sqrt(d)) + 2
+        eps = fundamental_unit(field)
+        if field.half_basis:
+            sig = eps.x + eps.y * (1 + sqrt(d)) / 2
+        else:
+            sig = eps.x + eps.y * sqrt(d)
+        bound = int((1.0 + sig) * sqrt(n) / sqrt(d)) + 2
     for y in range(bound + 1):
         for target in (n, -n):
-            if field.half_basis:
-                # (2x + y)^2 - d y^2 = 4*target
-                t2 = 4 * target + d * y * y
-                if t2 < 0:
-                    continue
-                t = isqrt(t2)
-                if t * t != t2:
-                    continue
-                for ts in ({t, -t} if t else {0}):
-                    if (ts - y) % 2 == 0:
-                        e = field.element((ts - y) // 2, y)
-                        if ideal.contains(e):
-                            yield e
-            else:
-                t2 = target + d * y * y
-                if t2 < 0:
-                    continue
-                t = isqrt(t2)
-                if t * t != t2:
-                    continue
-                for ts in ({t, -t} if t else {0}):
+            t2 = scale * target + d * y * y
+            if t2 < 0:
+                continue
+            t = isqrt(t2)
+            if t * t != t2:
+                continue
+            for ts in ({t, -t} if t else {0}):
+                if field.half_basis:
+                    if (ts - y) % 2:
+                        continue
+                    e = field.element((ts - y) // 2, y)
+                else:
                     e = field.element(ts, y)
-                    if ideal.contains(e):
-                        yield e
+                if ideal.contains(e):
+                    yield e
 
 
 @lru_cache(maxsize=None)
@@ -264,16 +227,13 @@ def is_principal(ideal: Ideal) -> tuple[bool, RingElement | None]:
         return True, field.element(ideal.a)
     if ideal.is_unit_ideal():
         return True, field.one
-    if field.is_imaginary:
-        if ideal_class_form(ideal) != reduce_form(principal_form(field.disc)):
-            return False, None
-        for e in _generator_candidates_imag(ideal):
-            if abs(e.norm()) == ideal.norm:
-                return True, e
-        raise InternalInvariantError("principal class but no generator found")
-    for e in _generator_candidates_real(ideal):
+    if field.is_imaginary and not is_principal_class(ideal):
+        return False, None
+    for e in _generator_candidates(ideal):
         if abs(e.norm()) == ideal.norm:
             return True, e
+    if field.is_imaginary:
+        raise InternalInvariantError("principal class but no generator found")
     return False, None
 
 

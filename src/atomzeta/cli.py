@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -38,7 +39,6 @@ from atomzeta.ring import (
 from atomzeta.series import (
     asymptotic_report,
     atom_census,
-    default_threads,
     divergence_table,
     parse_aset,
     DEFAULT_PREC_BITS,
@@ -76,6 +76,18 @@ def _parse_s(token: str) -> Fraction:
         raise DomainError(f"bad exponent s: {token!r}")
 
 
+def default_threads() -> int:
+    """--threads when not given: ATOMZETA_THREADS, validated, or 1.  The
+    count changes neither output nor speed."""
+    env = os.environ.get("ATOMZETA_THREADS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise DomainError(f"bad ATOMZETA_THREADS value: {env!r}")
+    return 1
+
+
 def _fmt(x) -> str:
     return mpmath.nstr(x, DIGITS, strip_zeros=False)
 
@@ -105,8 +117,11 @@ def _emit(args, config: str, header: list[str], rows: list[list], meta: dict) ->
         buf.write(f"# {config}\n# atomzeta {__version__}\n")
         text = buf.getvalue()
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write output file: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -178,14 +193,7 @@ def cmd_zeta(args) -> int:
     aspec = parse_aset(args.aset)
     s = _parse_s(args.s)
     grid = _parse_kappa_grid(args.kappa)
-    table = divergence_table(
-        field,
-        aspec,
-        s,
-        grid,
-        prec_bits=args.prec,
-        threads=args.threads,
-    )
+    table = divergence_table(field, aspec, s, grid, prec_bits=args.prec)
     config = _config_string(args, ["d", "aset", "s", "kappa", "prec", "format"])
     header = ["kappa", "count", "partial_sum"]
     rows = [[r.kappa, r.count, _fmt(r.partial_sum)] for r in table.rows]
@@ -209,7 +217,7 @@ def cmd_zeta(args) -> int:
 def cmd_census(args) -> int:
     field = _parse_field(args.d)
     kappa = _parse_kappa_grid(args.kappa)[-1]
-    census = atom_census(field, kappa, threads=args.threads)
+    census = atom_census(field, kappa)
     decades = []
     x = 10
     while x <= kappa:
@@ -285,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is None:
-        args.threads = default_threads()
     try:
+        if args.threads is None:
+            args.threads = default_threads()
         if args.command == "ring":
             return cmd_ring(args)
         if args.command == "factor":

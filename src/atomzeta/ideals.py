@@ -331,25 +331,6 @@ def factor_ideal(ideal: Ideal) -> FactoredIdeal:
     return out
 
 
-def divisor_ideals(factored: FactoredIdeal):
-    """All divisors of the factored ideal, lexicographic in the exponent box."""
-    primes = [prime for prime, _ in factored.factors]
-    exps = [e for _, e in factored.factors]
-    field = factored.field
-
-    def rec(i: int, acc: Ideal):
-        if i == len(primes):
-            yield acc
-            return
-        cur = acc
-        for k in range(exps[i] + 1):
-            yield from rec(i + 1, cur)
-            if k < exps[i]:
-                cur = ideal_mul(cur, primes[i].ideal)
-
-    yield from rec(0, unit_ideal(field))
-
-
 def enumerate_ideals_factored(
     field: FieldSpec, kappa: int
 ) -> list[tuple[Ideal, tuple[tuple[PrimeIdeal, int], ...]]]:

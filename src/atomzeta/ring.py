@@ -365,11 +365,3 @@ def canonical_associate(e: RingElement) -> RingElement:
 
 def is_associated(e1: RingElement, e2: RingElement) -> bool:
     return canonical_associate(e1) == canonical_associate(e2)
-
-
-@lru_cache(maxsize=None)
-def unit_group_description(field: FieldSpec) -> str:
-    if field.is_real:
-        return f"roots of unity {{1, -1}}, fundamental unit {fundamental_unit(field)}"
-    k = len(roots_of_unity(field))
-    return f"{k} roots of unity (finite unit group)"

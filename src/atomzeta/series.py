@@ -2,12 +2,11 @@
 
 Partial sums are accumulated in increasing-norm order with mpmath at a
 configurable mantissa precision (>= 80 bits), terms of equal norm grouped,
-so results are reproducible bit-for-bit regardless of thread count.
+so results are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,16 +31,6 @@ from atomzeta.ring import FieldSpec
 from atomzeta.sieve import primes_upto
 
 DEFAULT_PREC_BITS = 100
-
-
-def default_threads() -> int:
-    env = os.environ.get("ATOMZETA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DomainError(f"bad ATOMZETA_THREADS value: {env!r}")
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +141,7 @@ def _atoms_dividing(field: FieldSpec, xset: XSetSpec, kappa: int):
         if m < 2:
             continue
         fac = _factor_rational(field, {m: 1} if sieved else factorint(m))
-        for norm, parts in atoms_of(fac):
+        for norm, parts, _ in atoms_of(fac):
             if not sieved:  # atoms dividing distinct primes are distinct
                 key = tuple(x for prime, k in parts for x in (prime.p, prime.ideal.b, k))
                 if key in seen:
@@ -161,21 +150,16 @@ def _atoms_dividing(field: FieldSpec, xset: XSetSpec, kappa: int):
             yield norm, m, parts
 
 
-def build_ideal_set(
-    field: FieldSpec, aspec: ASetSpec, kappa: int, threads: int | None = None
-) -> list[Ideal]:
+def build_ideal_set(field: FieldSpec, aspec: ASetSpec, kappa: int) -> list[Ideal]:
     """Deterministic list of the ideals of the set with norm <= kappa,
     sorted by (norm, a, b).
 
     For atoms-dividing-X the X members are additionally truncated at
     m <= kappa; omitted atoms can only lower the reported sums, which is
-    conservative for a divergence exhibit.  `threads` is accepted and
-    validated but changes nothing.
+    conservative for a divergence exhibit.
     """
     if kappa < 1:
         raise DomainError("kappa must be >= 1")
-    if threads is None:
-        default_threads()  # validates ATOMZETA_THREADS; the count changes nothing
     if aspec.kind == "prime-ideals":
         out = [
             prime.ideal
@@ -186,13 +170,15 @@ def build_ideal_set(
         return sorted(out, key=lambda i: i.sort_key())
     if aspec.kind == "all-atoms":
         atoms_of = _atom_finder(field, kappa)
-        # enumerate_ideals_factored lists each ideal once, sorted by (norm, a, b)
+        # enumerate_ideals_factored lists each ideal once, sorted by (norm, a, b);
+        # the whole box is the largest, so it comes first only if it is the
+        # only atom
         return [
             ideal
             for ideal, fac in enumerate_ideals_factored(field, kappa)
             if not ideal.is_unit_ideal()
             and is_principal_class(ideal)  # one class test before the sub-box search
-            and any(n == ideal.norm for n, _ in atoms_of(fac))
+            and next(atoms_of(fac))[0] == ideal.norm
         ]
     if aspec.kind == "atoms-dividing":
         out = [
@@ -267,22 +253,19 @@ def divergence_table(
     s: Fraction,
     kappa_grid: list[int],
     prec_bits: int = DEFAULT_PREC_BITS,
-    threads: int | None = None,
     increment_floor: float = 0.05,
 ) -> SeriesTable:
     if not kappa_grid or list(kappa_grid) != sorted(set(kappa_grid)):
         raise DomainError("kappa grid must be nonempty and strictly increasing")
     if kappa_grid[0] < 1:
         raise DomainError("kappa must be >= 1")
-    if threads is None:
-        threads = default_threads()  # validated; the count changes nothing
     # one build at the largest kappa, kept as (norm, least m in X) with
     # m = 1 for sets not drawn from X; a row counts the pairs with both <= kappa
     kmax = kappa_grid[-1]
     if aspec.kind == "atoms-dividing":
         table = [(n, m) for n, m, _ in _atoms_dividing(field, aspec.xset, kmax)]
     else:
-        table = [(i.norm, 1) for i in build_ideal_set(field, aspec, kmax, threads)]
+        table = [(i.norm, 1) for i in build_ideal_set(field, aspec, kmax)]
     rows = []
     for kappa in kappa_grid:
         norms = [n for n, m in table if n <= kappa and m <= kappa]
@@ -336,16 +319,12 @@ class CensusTable:
         )
 
 
-def atom_census(
-    field: FieldSpec, kappa: int, threads: int | None = None
-) -> CensusTable:
-    ideals = build_ideal_set(field, ASetSpec("all-atoms"), kappa, threads=threads)
-    counter = Counter(i.norm for i in ideals)
-    counts = tuple(sorted(counter.items()))
-    if field.is_imaginary or field.is_rational:
-        d_const = davenport_constant(class_group_structure(field))
-    else:
+def atom_census(field: FieldSpec, kappa: int) -> CensusTable:
+    if not (field.is_imaginary or field.is_rational):
         raise DomainError("the census experiment is restricted to imaginary fields and Q")
+    ideals = build_ideal_set(field, ASetSpec("all-atoms"), kappa)
+    counts = tuple(sorted(Counter(i.norm for i in ideals).items()))
+    d_const = davenport_constant(class_group_structure(field))
     return CensusTable(field.label(), kappa, counts, d_const)
 
 

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own algorithms: Pell
 solutions come from a direct y-scan, irreducibility from a divisor-class
-scan, ideal enumeration from a raw HNF triple scan, Davenport constants
+scan, ideal enumeration from a raw HNF triple scan, atom factorizations
+from a scan of every sub-product in order, Davenport constants
 from a subset-sum search over tuples, and so on.
 """
 
@@ -16,6 +17,7 @@ from atomzeta.ring import (
     RingElement,
     canonical_associate,
     divides,
+    exact_div,
     fundamental_unit,
 )
 
@@ -200,3 +202,61 @@ def davenport_brute(invariants: tuple[int, ...]) -> int:
         return best
 
     return 1 + longest(frozenset())
+
+
+def divisor_ideals(factored):
+    """All divisors of a FactoredIdeal, lexicographic in the exponent box."""
+    from atomzeta.ideals import ideal_mul, unit_ideal
+
+    primes = [prime for prime, _ in factored.factors]
+    exps = [e for _, e in factored.factors]
+
+    def rec(i, acc):
+        if i == len(primes):
+            yield acc
+            return
+        cur = acc
+        for k in range(exps[i] + 1):
+            yield from rec(i + 1, cur)
+            if k < exps[i]:
+                cur = ideal_mul(cur, primes[i].ideal)
+
+    yield from rec(0, unit_ideal(factored.field))
+
+
+def factor_scan(e: RingElement):
+    """The atom factorization that factor_into_atoms must choose, by its
+    rule: repeatedly take the first principal sub-product of the remaining
+    prime ideals in order of (size, exponent vector), every sub-product
+    multiplied out and tested with is_principal."""
+    from atomzeta.atoms import AtomFactorization
+    from atomzeta.classgroup import is_principal
+    from atomzeta.ideals import factor_ideal, ideal_mul, ideal_pow, principal_ideal, unit_ideal
+
+    remaining = [list(pair) for pair in factor_ideal(principal_ideal(e)).factors]
+    atoms = []
+    while any(v for _, v in remaining):
+        boxes = sorted(
+            (k for k in product(*(range(v + 1) for _, v in remaining)) if any(k)),
+            key=lambda k: (sum(k), k),
+        )
+        for k in boxes:
+            ideal = unit_ideal(e.field)
+            for (prime, _), kk in zip(remaining, k):
+                ideal = ideal_mul(ideal, ideal_pow(prime.ideal, kk))
+            ok, gen = is_principal(ideal)
+            if ok:
+                break
+        else:
+            raise AssertionError("no principal sub-product")
+        atoms.append(canonical_associate(gen))
+        for pair, kk in zip(remaining, k):
+            pair[1] -= kk
+    prod = e.field.one
+    for a in atoms:
+        prod = prod * a
+    grouped = {}
+    for a in atoms:
+        grouped[a] = grouped.get(a, 0) + 1
+    ordered = sorted(grouped.items(), key=lambda t: (abs(t[0].norm()), t[0].x, t[0].y))
+    return AtomFactorization(exact_div(e, prod), tuple(ordered))

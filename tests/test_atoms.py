@@ -11,7 +11,7 @@ from atomzeta.atoms import (
 )
 from atomzeta.errors import UnitElementError, ZeroElementError
 from atomzeta.ring import canonical_associate, is_associated, make_field, rational_field
-from oracles import atoms_dividing_brute, is_atom_brute, reps_by_norm
+from oracles import atoms_dividing_brute, factor_scan, is_atom_brute, reps_by_norm
 
 F1 = make_field(-1)
 F5 = make_field(-5)
@@ -72,6 +72,20 @@ def test_factor_into_atoms_random_round_trip():
                 assert k >= 1
                 assert is_atom(atom)
                 assert atom == canonical_associate(atom)
+
+
+def test_factor_into_atoms_matches_scan_oracle():
+    # the least principal sub-product by (size, exponents), round after round
+    rng = random.Random(6)
+    for d in (-1, -5, -14, -23, 2, 3, 5, 10):
+        f = make_field(d)
+        sample = [f.element(rng.randint(2, 600)) for _ in range(15)]
+        while len(sample) < 40:
+            e = f.element(rng.randint(-16, 16), rng.randint(-16, 16))
+            if not (e.is_zero() or e.is_unit()):
+                sample.append(e)
+        for e in sample:
+            assert factor_into_atoms(e) == factor_scan(e), (d, e)
 
 
 def test_atoms_dividing_examples():

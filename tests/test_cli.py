@@ -25,14 +25,17 @@ def test_ring_imaginary(capsys):
     assert "Davenport constant: D = 2" in out
 
 
+def _src_env(**extra):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def test_ring_large_rank_two_group_subprocess():
     # Z/2 x Z/22 (order 44) must take the rank-2 closed form to beat the timeout
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "atomzeta.cli", "ring", "-d", "-1034"],
-        capture_output=True, text=True, timeout=10, env=env,
+        capture_output=True, text=True, timeout=10, env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "class group: Z/2 x Z/22" in proc.stdout
@@ -265,3 +268,39 @@ def test_census_json_meta(capsys):
 def test_census_real_field_rejected(capsys):
     code, _, err = run_cli(capsys, "census", "-d", "2", "--kappa", "100")
     assert code == 2 and "error" in err
+
+
+def test_census_real_field_refused_before_work():
+    # the command's own time, after the interpreter and imports are up
+    script = (
+        "import sys, time\n"
+        "from atomzeta.cli import main\n"
+        "t = time.perf_counter()\n"
+        "code = main(['census', '-d', '631', '--kappa', '100'])\n"
+        "print(time.perf_counter() - t)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=20, env=_src_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("atomzeta: error:")
+    assert float(proc.stdout) < 1.0
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(
+        capsys, "zeta", "-d", "-1", "--aset", "prime-ideals", "--s", "1",
+        "--kappa", "10", "-o", str(target),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("atomzeta: error:") and str(target) in err
+
+
+def test_bad_threads_env_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("ATOMZETA_THREADS", "zebra")
+    code, _, err = run_cli(capsys, "ring", "-d", "-1")
+    assert code == 2
+    assert err.startswith("atomzeta: error:") and "zebra" in err

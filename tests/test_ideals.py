@@ -5,7 +5,6 @@ import pytest
 from atomzeta.errors import DomainError, ZeroElementError
 from atomzeta.ideals import (
     Ideal,
-    divisor_ideals,
     enumerate_ideals,
     factor_ideal,
     ideal_mul,
@@ -17,7 +16,7 @@ from atomzeta.ideals import (
 )
 from atomzeta.ring import make_field, rational_field
 from atomzeta.sieve import primes_upto
-from oracles import hnf_triples_brute
+from oracles import divisor_ideals, hnf_triples_brute
 
 F1 = make_field(-1)
 F5 = make_field(-5)

@@ -93,22 +93,6 @@ def test_build_atoms_dividing_union():
     assert got == expected
 
 
-def test_build_ideal_set_thread_invariance():
-    spec = parse_aset("atoms-dividing:all")
-    a = build_ideal_set(F5, spec, 150, threads=1)
-    b = build_ideal_set(F5, spec, 150, threads=4)
-    assert a == b
-
-
-def test_build_ideal_set_env_threads(monkeypatch):
-    monkeypatch.setenv("ATOMZETA_THREADS", "3")
-    spec = parse_aset("atoms-dividing:primes")
-    assert build_ideal_set(F5, spec, 100) == build_ideal_set(F5, spec, 100, threads=1)
-    monkeypatch.setenv("ATOMZETA_THREADS", "zebra")
-    with pytest.raises(DomainError):
-        build_ideal_set(F5, spec, 100)
-
-
 def test_build_ideal_set_rejects_bad_kappa():
     with pytest.raises(DomainError):
         build_ideal_set(F1, parse_aset("all-atoms"), 0)
