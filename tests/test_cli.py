@@ -255,6 +255,24 @@ def test_census_csv(capsys):
     assert table[2] == 1 and table[5] == 2 and table[9] == 1 and 4 not in table
 
 
+# SHA-256 of `census --kappa 1e4` stdout per field, captured before the
+# census was read off prime factorizations without building ideals
+CENSUS_GOLDEN = {
+    "-1": "1e1c04a528d70019c029f76c034d405841bb1fc850a8ccd51edc9476335c4189",
+    "-5": "1b9f91d63d45d35793d7934bfd9afed3de9437c5199c0e3b44ea4ca0ace09f33",
+    "-23": "79f21532d9fd365075b2afb677185e2e7c746925b71cae8db116859ab10cb8a3",
+    "-105": "a160998be1ecb53cfb686e398586fa57e24879596b105274cbc18985593e8450",
+    "Q": "84e8fdab3ffb56aed4a57929ae661563a19f70e42af63bf24bb8b5494e844545",
+}
+
+
+def test_census_golden_bytes(capsys):
+    for d, digest in CENSUS_GOLDEN.items():
+        code, out, _ = run_cli(capsys, "census", "-d", d, "--kappa", "1e4")
+        assert code == 0, d
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, d
+
+
 def test_census_json_meta(capsys):
     code, out, _ = run_cli(
         capsys, "census", "-d", "-5", "--kappa", "100", "--format", "json"
