@@ -19,7 +19,6 @@ from atomzeta.ideals import (
     Ideal,
     PrimeIdeal,
     FactoredIdeal,
-    enumerate_ideals,
     factor_ideal,
     ideal_mul,
     primes_above,

@@ -274,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_factor = sub.add_parser("factor", help="atom factorization of an element")
     common(p_factor)
-    p_factor.add_argument("element", help="a rational integer m, or coordinates x,y")
+    p_factor.add_argument("element", help="a rational integer m, or coordinates x,y; "
+                                          "put -- before a token that starts with -")
 
     p_zeta = sub.add_parser("zeta", help="restricted zeta partial sums")
     common(p_zeta)

@@ -333,54 +333,33 @@ def factor_ideal(ideal: Ideal) -> FactoredIdeal:
 
 def enumerate_ideals_factored(
     field: FieldSpec, kappa: int
-) -> list[tuple[Ideal, tuple[tuple[PrimeIdeal, int], ...]]]:
-    """Every ideal of norm <= kappa once, with its prime factorization,
-    sorted by (norm, a, b)."""
+) -> list[tuple[int, tuple[tuple[PrimeIdeal, int], ...]]]:
+    """(norm, prime factorization) of every ideal of norm <= kappa, once
+    each and in no set order; no ideal is built.  Each factorization
+    ((PrimeIdeal, e), ...) lists its primes by (norm, a, b)."""
     if kappa < 1:
         raise DomainError("kappa must be >= 1")
-    if field.is_rational:
-        out = [
-            (Ideal(field, m, 0, 1), _rational_factorization(field, m))
-            for m in range(1, kappa + 1)
-        ]
-        return out
-    prime_pool: list[PrimeIdeal] = []
-    for p in primes_upto(kappa):
-        for prime in _primes_above(p, field):
-            if prime.norm <= kappa:
-                prime_pool.append(prime)
+    prime_pool = [
+        prime
+        for p in primes_upto(kappa)
+        for prime in _primes_above(p, field)
+        if prime.norm <= kappa
+    ]
     # sorted by norm so the extension loop below can stop early; an
     # explicit stack keeps the depth independent of the pool size
     prime_pool.sort(key=lambda pr: pr.ideal.sort_key())
-    results: list[tuple[Ideal, tuple[tuple[PrimeIdeal, int], ...]]] = []
-    stack: list[tuple[int, Ideal, int, tuple[tuple[PrimeIdeal, int], ...]]] = [
-        (0, unit_ideal(field), 1, ())
-    ]
+    results: list[tuple[int, tuple[tuple[PrimeIdeal, int], ...]]] = []
+    stack: list[tuple[int, int, tuple[tuple[PrimeIdeal, int], ...]]] = [(0, 1, ())]
     while stack:
-        i, acc, nrm, fac = stack.pop()
-        results.append((acc, fac))
+        i, nrm, fac = stack.pop()
+        results.append((nrm, fac))
         for j in range(i, len(prime_pool)):
             prime = prime_pool[j]
-            if nrm * prime.norm > kappa:
+            n2, e = nrm * prime.norm, 1
+            if n2 > kappa:
                 break
-            cur, n2, e = acc, nrm, 0
-            while n2 * prime.norm <= kappa:
-                cur = ideal_mul(cur, prime.ideal)
+            while n2 <= kappa:
+                stack.append((j + 1, n2, fac + ((prime, e),)))
                 n2 *= prime.norm
                 e += 1
-                stack.append((j + 1, cur, n2, fac + ((prime, e),)))
-    results.sort(key=lambda t: t[0].sort_key())
     return results
-
-
-def enumerate_ideals(field: FieldSpec, kappa: int) -> list[Ideal]:
-    return [ideal for ideal, _ in enumerate_ideals_factored(field, kappa)]
-
-
-def _rational_factorization(
-    field: FieldSpec, m: int
-) -> tuple[tuple[PrimeIdeal, int], ...]:
-    return tuple(
-        (PrimeIdeal(p, "rational", Ideal(field, p, 0, 1), 1), e)
-        for p, e in sorted(factorint(m).items())
-    )

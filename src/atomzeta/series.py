@@ -16,11 +16,7 @@ import mpmath
 from sympy import factorint
 
 from atomzeta.atoms import _atom_finder, _box_ideal, _factor_rational
-from atomzeta.classgroup import (
-    class_group_structure,
-    davenport_constant,
-    is_principal_class,
-)
+from atomzeta.classgroup import class_group_structure, davenport_constant
 from atomzeta.errors import DomainError
 from atomzeta.ideals import (
     Ideal,
@@ -131,13 +127,27 @@ def parse_aset(spec: str) -> ASetSpec:
 # set builders
 
 
-def _atoms_dividing(field: FieldSpec, xset: XSetSpec, kappa: int):
-    """(norm, least m, parts) for each atom of norm <= kappa that divides
-    some m <= kappa in X, once each, in order of least m."""
+def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
+    """(norm, least m, parts) for each ideal of norm <= kappa in an atom set,
+    once each, where parts = ((PrimeIdeal, k), ...) is its prime
+    factorization.
+
+    Atoms dividing X come in order of least m in X.  For all-atoms m = 1,
+    and an ideal is kept iff the whole box is its own first atom: the whole
+    box is the largest, so it comes first only if it is the only atom.
+    """
     atoms_of = _atom_finder(field, kappa)
-    sieved = xset.kind == "primes"
+    if aspec.kind == "all-atoms":
+        for norm, fac in enumerate_ideals_factored(field, kappa):
+            # a box with no principal sub-box yields no atom at all
+            if next(atoms_of(fac), (0,))[0] == norm:
+                yield norm, 1, fac
+        return
+    if aspec.kind != "atoms-dividing":
+        raise DomainError(f"unknown ideal-set kind {aspec.kind!r}")
+    sieved = aspec.xset.kind == "primes"
     seen = set()
-    for m in xset.members_upto(kappa):
+    for m in aspec.xset.members_upto(kappa):
         if m < 2:
             continue
         fac = _factor_rational(field, {m: 1} if sieved else factorint(m))
@@ -152,7 +162,8 @@ def _atoms_dividing(field: FieldSpec, xset: XSetSpec, kappa: int):
 
 def build_ideal_set(field: FieldSpec, aspec: ASetSpec, kappa: int) -> list[Ideal]:
     """Deterministic list of the ideals of the set with norm <= kappa,
-    sorted by (norm, a, b).
+    sorted by (norm, a, b).  Prime ideals come straight from splitting;
+    an HNF is built only for each atom of an atom set.
 
     For atoms-dividing-X the X members are additionally truncated at
     m <= kappa; omitted atoms can only lower the reported sums, which is
@@ -167,26 +178,9 @@ def build_ideal_set(field: FieldSpec, aspec: ASetSpec, kappa: int) -> list[Ideal
             for prime in _primes_above(p, field)
             if prime.norm <= kappa
         ]
-        return sorted(out, key=lambda i: i.sort_key())
-    if aspec.kind == "all-atoms":
-        atoms_of = _atom_finder(field, kappa)
-        # enumerate_ideals_factored lists each ideal once, sorted by (norm, a, b);
-        # the whole box is the largest, so it comes first only if it is the
-        # only atom
-        return [
-            ideal
-            for ideal, fac in enumerate_ideals_factored(field, kappa)
-            if not ideal.is_unit_ideal()
-            and is_principal_class(ideal)  # one class test before the sub-box search
-            and next(atoms_of(fac))[0] == ideal.norm
-        ]
-    if aspec.kind == "atoms-dividing":
-        out = [
-            _box_ideal(field, parts)
-            for _, _, parts in _atoms_dividing(field, aspec.xset, kappa)
-        ]
-        return sorted(out, key=lambda i: i.sort_key())
-    raise DomainError(f"unknown ideal-set kind {aspec.kind!r}")
+    else:
+        out = [_box_ideal(field, parts) for _, _, parts in _atom_parts(field, aspec, kappa)]
+    return sorted(out, key=lambda i: i.sort_key())
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +256,10 @@ def divergence_table(
     # one build at the largest kappa, kept as (norm, least m in X) with
     # m = 1 for sets not drawn from X; a row counts the pairs with both <= kappa
     kmax = kappa_grid[-1]
-    if aspec.kind == "atoms-dividing":
-        table = [(n, m) for n, m, _ in _atoms_dividing(field, aspec.xset, kmax)]
-    else:
+    if aspec.kind == "prime-ideals":
         table = [(i.norm, 1) for i in build_ideal_set(field, aspec, kmax)]
+    else:
+        table = [(n, m) for n, m, _ in _atom_parts(field, aspec, kmax)]
     rows = []
     for kappa in kappa_grid:
         norms = [n for n, m in table if n <= kappa and m <= kappa]
@@ -322,8 +316,8 @@ class CensusTable:
 def atom_census(field: FieldSpec, kappa: int) -> CensusTable:
     if not (field.is_imaginary or field.is_rational):
         raise DomainError("the census experiment is restricted to imaginary fields and Q")
-    ideals = build_ideal_set(field, ASetSpec("all-atoms"), kappa)
-    counts = tuple(sorted(Counter(i.norm for i in ideals).items()))
+    norms = Counter(n for n, _, _ in _atom_parts(field, ASetSpec("all-atoms"), kappa))
+    counts = tuple(sorted(norms.items()))
     d_const = davenport_constant(class_group_structure(field))
     return CensusTable(field.label(), kappa, counts, d_const)
 

@@ -136,9 +136,12 @@ def atoms_dividing_brute(
 
 
 def hnf_triples_brute(field: FieldSpec, kappa: int):
-    """All valid HNF triples with norm <= kappa by raw box scan."""
+    """All valid HNF triples with norm <= kappa by raw box scan, sorted by
+    (norm, a, b); over Q the ideals are m*Z."""
     from atomzeta.ideals import Ideal
 
+    if field.is_rational:
+        return [Ideal(field, m, 0, 1) for m in range(1, kappa + 1)]
     out = []
     for c in range(1, kappa + 1):
         for a in range(c, kappa // c + 1, c):
@@ -147,7 +150,7 @@ def hnf_triples_brute(field: FieldSpec, kappa: int):
                 g1, g2 = ideal.generators()
                 if ideal.contains(g1.mul_omega()) and ideal.contains(g2.mul_omega()):
                     out.append(ideal)
-    return out
+    return sorted(out, key=lambda i: i.sort_key())
 
 
 def reduced_forms_brute(disc: int):

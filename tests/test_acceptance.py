@@ -169,20 +169,22 @@ def test_criterion_8_census_values():
 
 def test_criterion_8_census_against_element_scan_oracle():
     # supplementary: the census agrees with the exhaustive element-scan
-    # oracle at small norms; it agrees with criterion 8 (a_9 = 3 for d = -5)
+    # oracle at small norms; it agrees with criterion 8 (a_9 = 3 for d = -5).
+    # d = -105 has Cl = (Z/2)^3, so atoms there have up to 4 prime factors
     ok = True
-    for d in (-1, -5):
+    kappa = 5000
+    for d in (-1, -5, -14, -23, -105):
         f = make_field(d)
-        census = atom_census(f, 60)
-        table = reps_by_norm(f, 60)
-        for n in range(2, 61):
+        census = atom_census(f, kappa)
+        table = reps_by_norm(f, kappa)
+        for n in range(2, kappa + 1):
             brute = sum(
                 1 for e in table.get(n, ()) if is_atom_brute(e, table)
             )
             if census.a(n) != brute:
                 ok = False
     print(f"criterion 8 (oracle cross-check): {'PASS' if ok else 'FAIL'} — "
-          "census equals the element-scan oracle for n <= 60", flush=True)
+          f"census equals the element-scan oracle for n <= {kappa}", flush=True)
     assert ok
 
 

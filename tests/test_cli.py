@@ -71,6 +71,13 @@ def test_factor_coordinates(capsys):
     assert sum(l.startswith("atom:") for l in out.splitlines()) >= 1
 
 
+def test_factor_negative_token_after_double_dash(capsys):
+    # without --, argparse reads -5,3 as an option and exits 2
+    code, out, _ = run_cli(capsys, "factor", "-d", "-1", "--", "-5,3")
+    assert code == 0
+    assert out.startswith("element: -5+3*√-1")
+
+
 def test_factor_error_paths(capsys):
     for tok in ("0", "1", "abc", "1,0,0"):
         code, _, err = run_cli(capsys, "factor", "-d", "-1", tok)

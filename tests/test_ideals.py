@@ -4,8 +4,9 @@ import pytest
 
 from atomzeta.errors import DomainError, ZeroElementError
 from atomzeta.ideals import (
+    FactoredIdeal,
     Ideal,
-    enumerate_ideals,
+    enumerate_ideals_factored,
     factor_ideal,
     ideal_mul,
     kronecker_symbol,
@@ -144,21 +145,29 @@ def test_divisor_ideals_counts():
 
 
 def test_enumerate_ideals_examples():
-    assert [i.norm for i in enumerate_ideals(F1, 5)] == [1, 2, 4, 5, 5]
-    assert enumerate_ideals(F1, 1) == [unit_ideal(F1)]
+    pairs = enumerate_ideals_factored(F1, 5)
+    assert sorted(n for n, _ in pairs) == [1, 2, 4, 5, 5]
+    assert enumerate_ideals_factored(F1, 1) == [(1, ())]
 
 
 def test_enumerate_ideals_matches_brute_hnf_scan():
-    for f in (F1, F5, make_field(2)):
+    for f in (F1, F5, make_field(2), rational_field()):
         for kappa in (50, 200):
-            got = set(enumerate_ideals(f, kappa))
-            brute = set(hnf_triples_brute(f, kappa))
-            assert got == brute
+            pairs = enumerate_ideals_factored(f, kappa)
+            brute = hnf_triples_brute(f, kappa)
+            ideals = [FactoredIdeal(f, fac).unfactor() for _, fac in pairs]
+            assert [i.norm for i in ideals] == [n for n, _ in pairs]
+            assert sorted(n for n, _ in pairs) == [i.norm for i in brute]
+            assert set(ideals) == set(brute)
 
 
 def test_enumerate_ideals_rational():
     q = rational_field()
-    assert [i.norm for i in enumerate_ideals(q, 6)] == [1, 2, 3, 4, 5, 6]
+    pairs = enumerate_ideals_factored(q, 6)
+    assert sorted(n for n, _ in pairs) == [1, 2, 3, 4, 5, 6]
+    assert {FactoredIdeal(q, fac).unfactor() for _, fac in pairs} == set(
+        hnf_triples_brute(q, 6)
+    )
 
 
 def test_kronecker_symbol_basics():
