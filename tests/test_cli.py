@@ -280,6 +280,17 @@ def test_census_golden_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, d
 
 
+def test_census_golden_bytes_large(capsys):
+    # SHA-256 of `census -d -5 --kappa 1e5` stdout, captured before atoms
+    # were decided once per class signature; at this size exponents and
+    # signatures are much richer than at kappa = 1e4
+    code, out, _ = run_cli(capsys, "census", "-d", "-5", "--kappa", "1e5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5d6bdb47c1c1d1fd603ce6228e74f09b2ae46df2bb72a31786e39b710163de81"
+    )
+
+
 def test_census_json_meta(capsys):
     code, out, _ = run_cli(
         capsys, "census", "-d", "-5", "--kappa", "100", "--format", "json"
