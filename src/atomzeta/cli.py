@@ -42,6 +42,7 @@ from atomzeta.series import (
     divergence_table,
     parse_aset,
     DEFAULT_PREC_BITS,
+    MIN_PREC_BITS,
 )
 
 DIGITS = 25  # significant digits in all decimal output
@@ -82,7 +83,7 @@ def default_threads() -> int:
     env = os.environ.get("ATOMZETA_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             raise DomainError(f"bad ATOMZETA_THREADS value: {env!r}")
     return 1
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
         p.add_argument("--prec", type=int, default=DEFAULT_PREC_BITS,
-                       help="mantissa precision in bits (>= 80)")
+                       help=f"mantissa precision in bits (>= {MIN_PREC_BITS})")
         p.add_argument("--threads", type=int, default=None,
                        help="accepted and validated; changes neither output nor "
                             "speed (default ATOMZETA_THREADS or 1)")
@@ -297,6 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.threads is None:
             args.threads = default_threads()
+        if args.threads < 1:
+            raise DomainError(f"--threads/ATOMZETA_THREADS must be >= 1, not {args.threads}")
+        if args.prec < MIN_PREC_BITS:
+            raise DomainError(f"--prec must be >= {MIN_PREC_BITS} bits, not {args.prec}")
         if args.command == "ring":
             return cmd_ring(args)
         if args.command == "factor":

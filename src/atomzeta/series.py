@@ -16,7 +16,7 @@ import mpmath
 from sympy import factorint
 
 from atomzeta.atoms import _atom_finder, _box_ideal, _factor_rational
-from atomzeta.classgroup import class_group_structure, davenport_constant
+from atomzeta.classgroup import class_group_structure, davenport_constant, ideal_class_form
 from atomzeta.errors import DomainError
 from atomzeta.ideals import (
     Ideal,
@@ -27,6 +27,7 @@ from atomzeta.ring import FieldSpec
 from atomzeta.sieve import primes_upto
 
 DEFAULT_PREC_BITS = 100
+MIN_PREC_BITS = 80  # the library clamps below this; the CLI refuses
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +136,30 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
     Atoms dividing X come in order of least m in X.  For all-atoms m = 1,
     and an ideal is kept iff the whole box is its own first atom: the whole
     box is the largest, so it comes first only if it is the only atom.
+    That depends only on the box's prime classes with exponents (atoms are
+    the minimal zero-sum sequences of the block monoid over Cl(K)), so it
+    is decided once per sorted (class index, exponent) signature.
     """
     atoms_of = _atom_finder(field, kappa)
     if aspec.kind == "all-atoms":
+        forms, tags, known = {}, {}, {}  # class indices, prime tags, memo
         for norm, fac in enumerate_ideals_factored(field, kappa):
-            # a box with no principal sub-box yields no atom at all
-            if next(atoms_of(fac), (0,))[0] == norm:
+            # real fields have no class tag yet and decide every ideal, storing
+            # nothing, until reduced-ideal cycles (ROADMAP direction C)
+            sig = None
+            if not field.is_real:
+                for prime, _ in fac:
+                    if id(prime) not in tags:  # the walk makes each PrimeIdeal once
+                        form = ideal_class_form(prime.ideal) if field.is_imaginary else None
+                        tags[id(prime)] = forms.setdefault(form, len(forms))
+                sig = tuple(sorted((tags[id(prime)], e) for prime, e in fac))
+            keep = known.get(sig)
+            if keep is None:
+                # a box with no principal sub-box yields no atom at all
+                keep = next(atoms_of(fac), (0,))[0] == norm
+                if sig is not None:
+                    known[sig] = keep
+            if keep:
                 yield norm, 1, fac
         return
     if aspec.kind != "atoms-dividing":
@@ -202,7 +221,7 @@ def zeta_partial(
 
 def _norm_sum(norms: list[int], s: Fraction, prec_bits: int) -> tuple[mpmath.mpf, int]:
     count = len(norms)
-    with mpmath.workprec(max(prec_bits, 80)):
+    with mpmath.workprec(max(prec_bits, MIN_PREC_BITS)):
         if s == 0:
             return mpmath.mpf(count), count
         sexp = mpmath.mpf(s.numerator) / s.denominator
@@ -274,7 +293,7 @@ def euler_primes_sum(x: int, prec_bits: int = DEFAULT_PREC_BITS) -> mpmath.mpf:
     """Sum of 1/p over primes p <= x, via a sieve, in increasing order."""
     if x < 2:
         raise DomainError("x must be >= 2")
-    with mpmath.workprec(max(prec_bits, 80)):
+    with mpmath.workprec(max(prec_bits, MIN_PREC_BITS)):
         total = mpmath.mpf(0)
         one = mpmath.mpf(1)
         for p in primes_upto(x):

@@ -263,3 +263,18 @@ def factor_scan(e: RingElement):
         grouped[a] = grouped.get(a, 0) + 1
     ordered = sorted(grouped.items(), key=lambda t: (abs(t[0].norm()), t[0].x, t[0].y))
     return AtomFactorization(exact_div(e, prod), tuple(ordered))
+
+
+def all_atoms_per_ideal(field: FieldSpec, kappa: int) -> list[int]:
+    """Sorted norms of the all-atoms set by the per-ideal rule: the atom
+    finder runs on every ideal of norm <= kappa, with no signature memo,
+    and keeps the ideal iff its whole box is its own first atom."""
+    from atomzeta.atoms import _atom_finder
+    from atomzeta.ideals import enumerate_ideals_factored
+
+    atoms_of = _atom_finder(field, kappa)
+    return sorted(
+        norm
+        for norm, fac in enumerate_ideals_factored(field, kappa)
+        if next(atoms_of(fac), (0,))[0] == norm
+    )

@@ -340,3 +340,25 @@ def test_bad_threads_env_exit_2(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "ring", "-d", "-1")
     assert code == 2
     assert err.startswith("atomzeta: error:") and "zebra" in err
+
+
+def test_threads_below_one_exit_2(monkeypatch, capsys):
+    for count in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys, "census", "-d", "-5", "--kappa", "100", "--threads", count
+        )
+        assert code == 2 and out == "", count
+        assert err.startswith("atomzeta: error:") and count in err
+        monkeypatch.setenv("ATOMZETA_THREADS", count)
+        code, out, err = run_cli(capsys, "census", "-d", "-5", "--kappa", "100")
+        assert code == 2 and out == "", count
+        assert err.startswith("atomzeta: error:") and count in err
+        monkeypatch.delenv("ATOMZETA_THREADS")
+
+
+def test_prec_below_80_exit_2(capsys):
+    code, out, err = run_cli(capsys, "census", "-d", "-5", "--kappa", "1e4", "--prec", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("atomzeta: error:") and "--prec" in err
+    code, out, _ = run_cli(capsys, "census", "-d", "-5", "--kappa", "100", "--prec", "80")
+    assert code == 0 and out

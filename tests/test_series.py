@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -17,7 +18,7 @@ from atomzeta.series import (
     zeta_partial,
 )
 from atomzeta.sieve import primes_upto
-from oracles import atoms_dividing_brute, reps_by_norm
+from oracles import all_atoms_per_ideal, atoms_dividing_brute, reps_by_norm
 
 F1 = make_field(-1)
 F5 = make_field(-5)
@@ -241,6 +242,15 @@ def test_atom_census_rational_counts_primes():
     assert census.davenport == 1
     assert [n for n, _ in census.counts] == primes_upto(50)
     assert all(c == 1 for _, c in census.counts)
+
+
+def test_all_atoms_signature_memo_matches_per_ideal_oracle():
+    # the census decides each (class, exponent) signature once; the oracle
+    # runs the atom finder on every ideal
+    for field in [make_field(d) for d in (-1, -3, -5, -14, -23, -30, -105)] + [Q]:
+        census = atom_census(field, 5000)
+        expected = Counter(all_atoms_per_ideal(field, 5000))
+        assert dict(census.counts) == expected, field.label()
 
 
 def test_atom_census_rejects_real_field():
