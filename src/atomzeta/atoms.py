@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import le
 
-from sympy import factorint, isprime
-
 from atomzeta.errors import (
     InternalInvariantError,
     UnitElementError,
@@ -34,6 +32,7 @@ from atomzeta.ring import (
     canonical_associate,
     exact_div,
 )
+from atomzeta.sieve import factorint, isprime
 from atomzeta.classgroup import (
     compose,
     ideal_class_form,

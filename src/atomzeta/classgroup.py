@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, sqrt
 
-from sympy import factorint
-
 from atomzeta.errors import (
     CapExceededError,
     DomainError,
@@ -24,6 +22,7 @@ from atomzeta.ring import (
     RingElement,
     fundamental_unit,
 )
+from atomzeta.sieve import factorint
 
 
 @dataclass(frozen=True)

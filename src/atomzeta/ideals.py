@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from sympy import factorint, isprime
-
 from atomzeta.errors import (
     DomainError,
     InternalInvariantError,
@@ -20,7 +18,7 @@ from atomzeta.errors import (
     ZeroElementError,
 )
 from atomzeta.ring import FieldSpec, RingElement
-from atomzeta.sieve import primes_upto
+from atomzeta.sieve import factorint, isprime, primes_upto
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -348,18 +346,20 @@ def enumerate_ideals_factored(
     # sorted by norm so the extension loop below can stop early; an
     # explicit stack keeps the depth independent of the pool size
     prime_pool.sort(key=lambda pr: pr.ideal.sort_key())
+    pool_norms = [prime.norm for prime in prime_pool]
     results: list[tuple[int, tuple[tuple[PrimeIdeal, int], ...]]] = []
     stack: list[tuple[int, int, tuple[tuple[PrimeIdeal, int], ...]]] = [(0, 1, ())]
     while stack:
         i, nrm, fac = stack.pop()
         results.append((nrm, fac))
         for j in range(i, len(prime_pool)):
-            prime = prime_pool[j]
-            n2, e = nrm * prime.norm, 1
+            q = pool_norms[j]
+            n2, e = nrm * q, 1
             if n2 > kappa:
                 break
+            prime = prime_pool[j]
             while n2 <= kappa:
                 stack.append((j + 1, n2, fac + ((prime, e),)))
-                n2 *= prime.norm
+                n2 *= q
                 e += 1
     return results

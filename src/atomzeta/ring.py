@@ -12,7 +12,6 @@ from functools import lru_cache
 from math import isqrt
 
 import mpmath
-from sympy import factorint
 
 from atomzeta.errors import (
     ImaginaryFieldError,
@@ -21,6 +20,7 @@ from atomzeta.errors import (
     NotSquarefreeError,
     ZeroElementError,
 )
+from atomzeta.sieve import factorint
 
 MAX_ABS_D = 10**9  # class-group and Pell routines are desk-scale
 

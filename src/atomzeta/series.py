@@ -13,7 +13,6 @@ from fractions import Fraction
 from math import e as _E, log
 
 import mpmath
-from sympy import factorint
 
 from atomzeta.atoms import _atom_finder, _box_ideal, _factor_rational
 from atomzeta.classgroup import class_group_structure, davenport_constant, ideal_class_form
@@ -24,7 +23,7 @@ from atomzeta.ideals import (
     enumerate_ideals_factored,
 )
 from atomzeta.ring import FieldSpec
-from atomzeta.sieve import primes_upto
+from atomzeta.sieve import factorint, primes_upto
 
 DEFAULT_PREC_BITS = 100
 MIN_PREC_BITS = 80  # the library clamps below this; the CLI refuses

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own algorithms: Pell
 solutions come from a direct y-scan, irreducibility from a divisor-class
 scan, ideal enumeration from a raw HNF triple scan, atom factorizations
 from a scan of every sub-product in order, Davenport constants
-from a subset-sum search over tuples, and so on.
+from a subset-sum search over tuples, primes from trial division,
+factorizations and primality from sympy, and so on.
 """
 
 from __future__ import annotations
@@ -20,6 +21,25 @@ from atomzeta.ring import (
     exact_div,
     fundamental_unit,
 )
+
+
+def primes_trial(n: int) -> list[int]:
+    """Primes <= n by trial division (independent of the sieve)."""
+    return [m for m in range(2, n + 1) if all(m % q for q in range(2, isqrt(m) + 1))]
+
+
+def sympy_factorint(n: int) -> dict[int, int]:
+    """sympy's factorization, which the package used before its own."""
+    from sympy import factorint
+
+    return factorint(n)
+
+
+def sympy_isprime(n: int) -> bool:
+    """sympy's primality test, which the package used before its own."""
+    from sympy import isprime
+
+    return isprime(n)
 
 
 def pell_brute(field: FieldSpec) -> RingElement:

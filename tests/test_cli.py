@@ -31,6 +31,19 @@ def _src_env(**extra):
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
+def test_cli_import_loads_neither_sympy_nor_numpy():
+    script = (
+        "import sys, atomzeta.cli\n"
+        "print(sorted({'sympy', 'numpy'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=20, env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_ring_large_rank_two_group_subprocess():
     # Z/2 x Z/22 (order 44) must take the rank-2 closed form to beat the timeout
     proc = subprocess.run(
@@ -333,6 +346,17 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("atomzeta: error:") and str(target) in err
+
+
+def test_zeta_list_member_beyond_primality_range_exit_2(capsys):
+    # the least prime above the exact primality range of atomzeta.sieve
+    p = 3317044064679887385962123
+    code, out, err = run_cli(
+        capsys, "zeta", "-d", "-5", "--aset", f"atoms-dividing:list:{p}",
+        "--s", "1", "--kappa", "1e25",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("atomzeta: error:") and "primality range" in err
 
 
 def test_bad_threads_env_exit_2(monkeypatch, capsys):
