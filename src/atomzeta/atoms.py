@@ -18,13 +18,12 @@ from atomzeta.errors import (
     ZeroElementError,
 )
 from atomzeta.ideals import (
+    FactoredIdeal,
     Ideal,
-    _primes_above,
+    _factor_rational,
     factor_ideal,
     ideal_mul,
-    ideal_pow,
     principal_ideal,
-    unit_ideal,
 )
 from atomzeta.ring import (
     FieldSpec,
@@ -41,23 +40,6 @@ from atomzeta.classgroup import (
     principal_form,
     reduce_form,
 )
-
-
-def _box_ideal(field: FieldSpec, parts) -> Ideal:
-    """HNF of prod P^k over parts ((PrimeIdeal, k), ...); a prime ideal
-    and (p) = <p, p*w> itself need no multiplication."""
-    parts = [(prime, k) for prime, k in parts if k]
-    (prime, k), *rest = parts
-    if not rest and k == 1:
-        return prime.ideal
-    if (not rest and k == 2 and prime.kind == "ramified") or (
-        len(rest) == 1 and rest[0][0].p == prime.p and k == rest[0][1] == 1
-    ):
-        return Ideal(field, prime.p, 0, prime.p)
-    out = unit_ideal(field)
-    for prime, k in parts:
-        out = ideal_mul(out, ideal_pow(prime.ideal, k))
-    return out
 
 
 def is_atom(e: RingElement) -> bool:
@@ -111,7 +93,8 @@ def factor_into_atoms(e: RingElement) -> AtomFactorization:
         _, parts, c = next(atoms_of(remaining), (None, None, None))
         if parts is None:
             raise InternalInvariantError("no principal sub-product found")
-        ok, gen = is_principal(_box_ideal(field, parts) if field.is_imaginary else c)
+        box = FactoredIdeal(field, parts).unfactor() if field.is_imaginary else c
+        ok, gen = is_principal(box)
         if not ok:
             raise InternalInvariantError("atom sub-product has no generator")
         atoms.append(canonical_associate(gen))
@@ -128,17 +111,6 @@ def factor_into_atoms(e: RingElement) -> AtomFactorization:
         grouped[a] = grouped.get(a, 0) + 1
     ordered = sorted(grouped.items(), key=lambda t: (abs(t[0].norm()), t[0].x, t[0].y))
     return AtomFactorization(unit, tuple(ordered))
-
-
-def _factor_rational(field: FieldSpec, factors: dict[int, int]) -> list:
-    """Prime factorization ((PrimeIdeal, e), ...) of (m), m = prod p^e given
-    as {p: e} with every p certified prime, read off the splitting types:
-    P^e P'^e for a split p, P^e for an inert p and P^2e for a ramified p."""
-    return [
-        (prime, 2 * e if prime.kind == "ramified" else e)
-        for p, e in sorted(factors.items())
-        for prime in _primes_above(p, field)
-    ]
 
 
 @lru_cache(maxsize=None)
@@ -209,7 +181,7 @@ def atom_ideals_dividing(m: int, field: FieldSpec, norm_cap: int | None = None) 
         raise ZeroElementError("m must be a positive integer")
     atoms_of = _atom_finder(field, m * m if norm_cap is None else norm_cap)
     fac = _factor_rational(field, factorint(m))
-    out = [_box_ideal(field, parts) for _, parts, _ in atoms_of(fac)]
+    out = [FactoredIdeal(field, parts).unfactor() for _, parts, _ in atoms_of(fac)]
     return sorted(out, key=lambda i: i.sort_key())
 
 

@@ -301,16 +301,7 @@ def class_group_structure(field: FieldSpec) -> AbelianGroupSpec:
     # log_p #{f : f^(p^k) = id} = sum_i min(lambda_i, k)
     ident = reduce_form(principal_form(field.disc))
     partitions: dict[int, list[int]] = {}
-    hh = h
-    p = 2
-    primes = []
-    while hh > 1:
-        if hh % p == 0:
-            primes.append(p)
-            while hh % p == 0:
-                hh //= p
-        p += 1
-    for p in primes:
+    for p in factorint(h):
         prev_log = 0
         ms = []
         k = 1

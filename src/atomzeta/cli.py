@@ -17,7 +17,9 @@ import io
 import json
 import os
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from math import isinf
 
 import mpmath
 
@@ -59,12 +61,17 @@ def _parse_field(token: str) -> FieldSpec:
 
 
 def _parse_kappa_grid(token: str) -> list[int]:
+    """Each token read exactly (1e25 is 10^25); a token that is not an
+    integer or lies beyond float range is refused."""
     out = []
     for t in token.split(","):
         try:
-            out.append(int(float(t)))
-        except (ValueError, OverflowError):
+            k = Decimal(t)
+        except InvalidOperation:
             raise DomainError(f"bad kappa token: {t!r}")
+        if not k.is_finite() or isinf(float(k)) or k != k.to_integral_value():
+            raise DomainError(f"bad kappa token: {t!r}")
+        out.append(int(k))
     if out != sorted(set(out)) or out[0] < 1:
         raise DomainError("kappa grid must be strictly increasing positive integers")
     return out

@@ -156,14 +156,6 @@ def ideal_pow(ideal: Ideal, n: int) -> Ideal:
     return r
 
 
-def conj_ideal(ideal: Ideal) -> Ideal:
-    f = ideal.field
-    if f.is_rational:
-        return ideal
-    ga, gb = ideal.generators()
-    return ideal_from_elements(f, [ga.conj(), gb.conj()])
-
-
 # ---------------------------------------------------------------------------
 # prime splitting
 
@@ -268,9 +260,22 @@ class FactoredIdeal:
     factors: tuple[tuple[PrimeIdeal, int], ...]  # sorted by (p, b)
 
     def unfactor(self) -> Ideal:
-        out = unit_ideal(self.field)
-        for prime, e in self.factors:
-            out = ideal_mul(out, ideal_pow(prime.ideal, e))
+        """HNF of prod P^k; a prime ideal and (p) = <p, p*w> itself need
+        no multiplication."""
+        f = self.field
+        if len(self.factors) == 1:
+            prime, k = self.factors[0]
+            if k == 1:
+                return prime.ideal
+            if k == 2 and prime.kind == "ramified":
+                return Ideal(f, prime.p, 0, prime.p)
+        elif len(self.factors) == 2:
+            (prime, k), (other, j) = self.factors
+            if prime.p == other.p and k == j == 1:
+                return Ideal(f, prime.p, 0, prime.p)
+        out = unit_ideal(f)
+        for prime, k in self.factors:
+            out = ideal_mul(out, ideal_pow(prime.ideal, k))
         return out
 
     def norm(self) -> int:
@@ -280,49 +285,34 @@ class FactoredIdeal:
         return n
 
 
-def _divide_by_prime(ideal: Ideal, prime: PrimeIdeal) -> Ideal:
-    """ideal / prime.ideal, assuming prime.ideal contains ideal."""
-    f = ideal.field
-    p = prime.p
-    if f.is_rational:
-        return Ideal(f, ideal.a // p, 0, 1)
-    if prime.kind == "inert":
-        return Ideal(f, ideal.a // p, ideal.b // p, ideal.c // p)
-    if prime.kind == "ramified":
-        cof = prime.ideal
-    else:
-        cof = conj_ideal(prime.ideal)
-    j = ideal_mul(ideal, cof)
-    return Ideal(f, j.a // p, j.b // p, j.c // p)
-
-
-def valuation(ideal: Ideal, prime: PrimeIdeal) -> int:
-    v = 0
-    j = ideal
-    while all(prime.ideal.contains(g) for g in _ideal_gens(j)):
-        j = _divide_by_prime(j, prime)
-        v += 1
-    return v
-
-
-def _ideal_gens(ideal: Ideal) -> tuple[RingElement, ...]:
-    f = ideal.field
-    if f.is_rational:
-        return (f.element(ideal.a),)
-    return ideal.generators()
+def _factor_rational(field: FieldSpec, factors: dict[int, int]) -> list:
+    """Prime factorization ((PrimeIdeal, e), ...) of (m), m = prod p^e given
+    as {p: e} with every p certified prime, read off the splitting types:
+    P^e P'^e for a split p, P^e for an inert p and P^2e for a ramified p."""
+    return [
+        (prime, 2 * e if prime.kind == "ramified" else e)
+        for p, e in sorted(factors.items())
+        for prime in _primes_above(p, field)
+    ]
 
 
 def factor_ideal(ideal: Ideal) -> FactoredIdeal:
+    """Prime factorization read off the HNF.  I = (c) * J with
+    J = <A, B + w>, A = a/c, B = b/c, and (c) factors by splitting types.
+    J is primitive: it lies in no inert (p) and in at most one prime above
+    each p, so its p-part is P^v for p^v || A, where P is the prime above p
+    with P.b == B mod p.  Over Q, c = 1 and the one prime above p has b = 0."""
     f = ideal.field
     n = ideal.norm
     if n > 10**18:
         raise DomainError("ideal norm exceeds the supported factoring range")
-    factors: list[tuple[PrimeIdeal, int]] = []
-    for p in sorted(factorint(n)):
+    exps = dict(_factor_rational(f, factorint(ideal.c)))
+    ja, jb = ideal.a // ideal.c, ideal.b // ideal.c
+    for p, v in factorint(ja).items():
         for prime in _primes_above(p, f):
-            v = valuation(ideal, prime)
-            if v:
-                factors.append((prime, v))
+            if prime.ideal.b == jb % p:
+                exps[prime] = exps.get(prime, 0) + v
+    factors = sorted(exps.items(), key=lambda t: (t[0].p, t[0].ideal.b))
     out = FactoredIdeal(f, tuple(factors))
     if out.norm() != n:
         raise InternalInvariantError("factorization norm mismatch")

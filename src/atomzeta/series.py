@@ -14,11 +14,13 @@ from math import e as _E, log
 
 import mpmath
 
-from atomzeta.atoms import _atom_finder, _box_ideal, _factor_rational
+from atomzeta.atoms import _atom_finder
 from atomzeta.classgroup import class_group_structure, davenport_constant, ideal_class_form
 from atomzeta.errors import DomainError
 from atomzeta.ideals import (
+    FactoredIdeal,
     Ideal,
+    _factor_rational,
     _primes_above,
     enumerate_ideals_factored,
 )
@@ -128,17 +130,24 @@ def parse_aset(spec: str) -> ASetSpec:
 
 
 def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
-    """(norm, least m, parts) for each ideal of norm <= kappa in an atom set,
-    once each, where parts = ((PrimeIdeal, k), ...) is its prime
+    """(norm, least m, parts) for each ideal of norm <= kappa in an ideal
+    set, once each, where parts = ((PrimeIdeal, k), ...) is its prime
     factorization.
 
-    Atoms dividing X come in order of least m in X.  For all-atoms m = 1,
-    and an ideal is kept iff the whole box is its own first atom: the whole
-    box is the largest, so it comes first only if it is the only atom.
-    That depends only on the box's prime classes with exponents (atoms are
-    the minimal zero-sum sequences of the block monoid over Cl(K)), so it
-    is decided once per sorted (class index, exponent) signature.
+    Prime ideals and all-atoms have m = 1.  Atoms dividing X come in order
+    of least m in X.  For all-atoms an ideal is kept iff the whole box is
+    its own first atom: the whole box is the largest, so it comes first
+    only if it is the only atom.  That depends only on the box's prime
+    classes with exponents (atoms are the minimal zero-sum sequences of the
+    block monoid over Cl(K)), so it is decided once per sorted (class
+    index, exponent) signature.
     """
+    if aspec.kind == "prime-ideals":
+        for p in primes_upto(kappa):
+            for prime in _primes_above(p, field):
+                if prime.norm <= kappa:
+                    yield prime.norm, 1, ((prime, 1),)
+        return
     atoms_of = _atom_finder(field, kappa)
     if aspec.kind == "all-atoms":
         forms, tags, known = {}, {}, {}  # class indices, prime tags, memo
@@ -180,8 +189,7 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
 
 def build_ideal_set(field: FieldSpec, aspec: ASetSpec, kappa: int) -> list[Ideal]:
     """Deterministic list of the ideals of the set with norm <= kappa,
-    sorted by (norm, a, b).  Prime ideals come straight from splitting;
-    an HNF is built only for each atom of an atom set.
+    sorted by (norm, a, b), each built from its prime factorization.
 
     For atoms-dividing-X the X members are additionally truncated at
     m <= kappa; omitted atoms can only lower the reported sums, which is
@@ -189,15 +197,10 @@ def build_ideal_set(field: FieldSpec, aspec: ASetSpec, kappa: int) -> list[Ideal
     """
     if kappa < 1:
         raise DomainError("kappa must be >= 1")
-    if aspec.kind == "prime-ideals":
-        out = [
-            prime.ideal
-            for p in primes_upto(kappa)
-            for prime in _primes_above(p, field)
-            if prime.norm <= kappa
-        ]
-    else:
-        out = [_box_ideal(field, parts) for _, _, parts in _atom_parts(field, aspec, kappa)]
+    out = [
+        FactoredIdeal(field, parts).unfactor()
+        for _, _, parts in _atom_parts(field, aspec, kappa)
+    ]
     return sorted(out, key=lambda i: i.sort_key())
 
 
@@ -273,11 +276,7 @@ def divergence_table(
         raise DomainError("kappa must be >= 1")
     # one build at the largest kappa, kept as (norm, least m in X) with
     # m = 1 for sets not drawn from X; a row counts the pairs with both <= kappa
-    kmax = kappa_grid[-1]
-    if aspec.kind == "prime-ideals":
-        table = [(i.norm, 1) for i in build_ideal_set(field, aspec, kmax)]
-    else:
-        table = [(n, m) for n, m, _ in _atom_parts(field, aspec, kmax)]
+    table = [(n, m) for n, m, _ in _atom_parts(field, aspec, kappa_grid[-1])]
     rows = []
     for kappa in kappa_grid:
         norms = [n for n, m in table if n <= kappa and m <= kappa]

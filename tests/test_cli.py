@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from atomzeta.cli import main
+from atomzeta.cli import _parse_kappa_grid, main
 from atomzeta.ring import make_field
 
 
@@ -257,12 +257,21 @@ def test_zeta_file_xset_errors_exit_2(tmp_path, capsys):
 
 
 def test_kappa_inf_exit_2(capsys):
+    # likewise any token beyond float range, or not an exact integer
     for argv in (
         ("zeta", "-d", "-1", "--aset", "all-atoms", "--s", "1", "--kappa", "inf"),
-        ("census", "-d", "-1", "--kappa", "inf"),
+        *(
+            ("census", "-d", "-1", "--kappa", token)
+            for token in ("inf", "1e400", "1" + "0" * 400, "1.5", "1e-1")
+        ),
     ):
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 2 and err.startswith("atomzeta: error:"), argv
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("atomzeta: error:"), argv
+
+
+def test_kappa_parsed_exactly():
+    assert _parse_kappa_grid("9007199254740993") == [9007199254740993]
+    assert _parse_kappa_grid("1e25") == [10**25]
 
 
 def test_census_csv(capsys):

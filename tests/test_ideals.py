@@ -132,6 +132,12 @@ def test_factor_ideal_round_trip_random():
                 continue
             i = principal_ideal(e)
             assert factor_ideal(i).unfactor() == i
+    # every ideal of small norm, non-principal ones included: by unique
+    # factorization the round trip checks the factorization read off the HNF
+    for d in (-1, -3, -5, -14, -23, -105, 2, 3, 5, 10, 13, None):
+        f = rational_field() if d is None else make_field(d)
+        for i in hnf_triples_brute(f, 200):
+            assert factor_ideal(i).unfactor() == i, (d, i)
 
 
 def test_divisor_ideals_counts():
