@@ -257,7 +257,7 @@ def _primes_above(p: int, field: FieldSpec) -> list[PrimeIdeal]:
 @dataclass(frozen=True)
 class FactoredIdeal:
     field: FieldSpec
-    factors: tuple[tuple[PrimeIdeal, int], ...]  # sorted by (p, b)
+    factors: tuple[tuple[PrimeIdeal, int], ...]  # factor_ideal sorts them by (p, b)
 
     def unfactor(self) -> Ideal:
         """HNF of prod P^k; a prime ideal and (p) = <p, p*w> itself need
