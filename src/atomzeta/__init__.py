@@ -28,7 +28,9 @@ from atomzeta.ideals import (
 )
 from atomzeta.classgroup import (
     AbelianGroupSpec,
+    ClassGroup,
     QuadForm,
+    class_group,
     class_group_structure,
     class_number,
     compose,

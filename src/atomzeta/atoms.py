@@ -9,7 +9,6 @@ the prime-ideal factorization of (e) has principal product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import le
 
 from atomzeta.errors import (
@@ -32,14 +31,7 @@ from atomzeta.ring import (
     exact_div,
 )
 from atomzeta.sieve import factorint, isprime
-from atomzeta.classgroup import (
-    compose,
-    ideal_class_form,
-    is_principal,
-    is_principal_class,
-    principal_form,
-    reduce_form,
-)
+from atomzeta.classgroup import class_group, is_principal, is_principal_class
 
 
 def is_atom(e: RingElement) -> bool:
@@ -93,7 +85,7 @@ def factor_into_atoms(e: RingElement) -> AtomFactorization:
         _, parts, c = next(atoms_of(remaining), (None, None, None))
         if parts is None:
             raise InternalInvariantError("no principal sub-product found")
-        box = FactoredIdeal(field, parts).unfactor() if field.is_imaginary else c
+        box = c if field.is_real else FactoredIdeal(field, parts).unfactor()
         ok, gen = is_principal(box)
         if not ok:
             raise InternalInvariantError("atom sub-product has no generator")
@@ -113,16 +105,26 @@ def factor_into_atoms(e: RingElement) -> AtomFactorization:
     return AtomFactorization(unit, tuple(ordered))
 
 
-@lru_cache(maxsize=None)
 def _class_arith(field: FieldSpec):
-    """(cls, mul, principal) for the classes of one field's sub-boxes:
-    reduced forms composed through a memo that lives as long as the field
-    (at most h^2 products) for imaginary fields; HNF products and the
-    principality test for real fields and Q (always true there)."""
-    if field.is_imaginary:
-        one = reduce_form(principal_form(field.disc))
-        return ideal_class_form, lru_cache(maxsize=None)(compose), one.__eq__
-    return (lambda ideal: ideal), ideal_mul, is_principal_class
+    """(classes, mul, principal) for the classes of one field's sub-boxes.
+    Imaginary fields and Q use vectors in Cl(K) (class_group): products add
+    them and the principal class is 0; a split prime's conjugate, next to it
+    in a factorization, gets the negated vector.  Real fields use HNFs,
+    ideal_mul and the principality test."""
+    if field.is_real:
+        return (lambda primes: [prime.ideal for prime in primes]), ideal_mul, is_principal_class
+    group = class_group(field)
+
+    def classes(primes):
+        out = []
+        for k, prime in enumerate(primes):
+            if k and primes[k - 1].p == prime.p:  # two primes above p: p splits
+                out.append(group.neg(out[-1]))
+            else:
+                out.append(group.vector(prime.ideal))
+        return out
+
+    return classes, group.add, lambda c: not any(c)
 
 
 def _atom_finder(field: FieldSpec, cap: int):
@@ -130,7 +132,7 @@ def _atom_finder(field: FieldSpec, cap: int):
     fac = ((PrimeIdeal, e), ...) whose ideals have norm <= cap, as
     (norm, parts, c) in order of (size, exponent vector): parts is
     ((PrimeIdeal, k), ...) with every k >= 1, and c is the sub-box's class,
-    its reduced form for imaginary fields and its HNF otherwise.
+    its HNF for real fields (a zero vector otherwise).
 
     Sub-boxes grow one prime at a time, each at or after the index it last
     grew at, so each is made once.  A sub-box is principal iff the product
@@ -139,12 +141,12 @@ def _atom_finder(field: FieldSpec, cap: int):
     and a sub-box holding one is neither tested nor grown.  Proper sub-boxes
     have smaller norm, so the cap never hides one.
     """
-    cls, mul, principal = _class_arith(field)
+    classes_of, mul, principal = _class_arith(field)
 
     def atoms(fac):
         pool = [(prime, e) for prime, e in fac if prime.norm <= cap]
         n = len(pool)
-        classes = [None] * n  # prime classes, made when first needed
+        classes = classes_of([prime for prime, _ in pool])
         found = []
         # (exponents, norm, class of the parent box, index grown); each level
         # in increasing exponent order
@@ -157,8 +159,6 @@ def _atom_finder(field: FieldSpec, cap: int):
             for k, norm, c, i in level:
                 if found and any(all(map(le, a, k)) for a in found):
                     continue
-                if classes[i] is None:
-                    classes[i] = cls(pool[i][0].ideal)
                 c = classes[i] if c is None else mul(c, classes[i])
                 if principal(c):
                     found.append(k)

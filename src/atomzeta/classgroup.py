@@ -1,7 +1,8 @@
 """Binary quadratic forms, class groups, principality and Davenport constants.
 
-Imaginary fields get the full form-class-group machinery; real fields only
-get principality-by-generator-search inside the fundamental-unit band.
+Imaginary fields (and Q) get one ClassGroup each, built from prime forms,
+with a vector in the sum of Z/m_i for every class; real fields only get
+principality-by-generator-search inside the fundamental-unit band.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from atomzeta.errors import (
     InternalInvariantError,
     RealFieldError,
 )
-from atomzeta.ideals import Ideal, _xgcd
+from atomzeta.ideals import Ideal, _primes_above, _xgcd
 from atomzeta.ring import (
     FieldSpec,
     RingElement,
     fundamental_unit,
 )
-from atomzeta.sieve import factorint
+from atomzeta.sieve import factorint, primes_upto
 
 
 @dataclass(frozen=True)
@@ -98,38 +99,6 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     a3 = v1 * v2
     c3 = (c2 * d1 + r * (b2 + v2 * r)) // v1
     return reduce_form(QuadForm(a3, b3, c3))
-
-
-def form_pow(f: QuadForm, n: int) -> QuadForm:
-    r = reduce_form(principal_form(f.disc))
-    b = reduce_form(f)
-    while n:
-        if n & 1:
-            r = compose(r, b)
-        b = compose(b, b)
-        n >>= 1
-    return r
-
-
-def reduced_forms(disc: int) -> list[QuadForm]:
-    """All reduced forms of a negative discriminant, sorted."""
-    if disc >= 0 or disc % 4 not in (0, 1):
-        raise DomainError("need a negative discriminant = 0, 1 (mod 4)")
-    out = []
-    for b in range(abs(disc) % 2, isqrt(abs(disc) // 3) + 1, 2):
-        m4 = b * b - disc
-        if m4 % 4:
-            continue
-        m = m4 // 4
-        a = max(b, 1)
-        while a * a <= m:
-            if m % a == 0:
-                c = m // a
-                out.append(QuadForm(a, b, c))
-                if 0 < b < a < c:
-                    out.append(QuadForm(a, -b, c))
-            a += 1
-    return sorted(out, key=lambda f: (f.a, f.b, f.c))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +211,7 @@ def is_principal_class(ideal: Ideal) -> bool:
     if field.is_rational:
         return True
     if field.is_imaginary:
-        return ideal_class_form(ideal) == reduce_form(principal_form(field.disc))
+        return ideal_class_form(ideal) == class_group(field).identity
     return is_principal(ideal)[0]
 
 
@@ -280,60 +249,112 @@ class AbelianGroupSpec:
         return " x ".join(f"Z/{m}" for m in self.invariants)
 
 
-def class_number(field: FieldSpec) -> int:
+@dataclass(frozen=True, eq=False)
+class ClassGroup:
+    """Cl(K) as the sum of Z/m_i with m_1 | ... | m_r: the principal form,
+    the invariants, and the vector of every reduced form (over Q the one
+    class has no form and is keyed by None)."""
+
+    identity: QuadForm | None
+    invariants: tuple[int, ...]
+    coords: dict[QuadForm | None, tuple[int, ...]]
+
+    def vector(self, ideal: Ideal) -> tuple[int, ...]:
+        return self.coords[ideal_class_form(ideal)] if self.invariants else ()
+
+    def add(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple((x + y) % m for x, y, m in zip(u, v, self.invariants))
+
+    def neg(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(-x % m for x, m in zip(v, self.invariants))
+
+
+def _smith(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """(diag, v) for a square integer matrix A of full rank, changed in
+    place: u*A*v = diag(d_1, ..., d_n) up to signs, each d_t > 0 dividing
+    the next, for some unimodular u.  Only the column transform v is kept."""
+    n = len(a)
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    for t in range(n):
+        while True:
+            _, i, j = min(
+                (abs(a[i][j]), i, j) for i in range(t, n) for j in range(t, n) if a[i][j]
+            )
+            a[t], a[i] = a[i], a[t]
+            for row in a + v:
+                row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            for j in range(t + 1, n):
+                q = a[t][j] // p
+                for row in a + v:
+                    row[j] -= q * row[t]
+            for i in range(t + 1, n):
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            # a nonzero remainder is smaller than the pivot: pivot again
+            if any(a[t][t + 1:]) or any(a[i][t] for i in range(t + 1, n)):
+                continue
+            bad = next((r for r in a[t + 1:] if any(x % p for x in r)), None)
+            if bad is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], bad)]
+    return [abs(a[t][t]) for t in range(n)], v
+
+
+@lru_cache(maxsize=None)
+def class_group(field: FieldSpec) -> ClassGroup:
+    """Cl(K) for an imaginary field or Q.
+
+    Every class holds a reduced form (a, b, c) with a <= sqrt(|D|/3), whose
+    ideal is a product of primes of norm <= a, so the classes of one prime
+    above each p <= sqrt(|D|/3) generate Cl(K) (inert primes are principal,
+    and the other prime above p is the inverse).  A prime class g outside
+    the subgroup H found so far is a new generator: its powers are walked
+    until g^e lies in H, which gives a relation row, and H grows by its
+    cosets H*g^j, 0 < j < e; about 2h compositions in all.  The Smith normal
+    form of the triangular relation matrix gives the invariants, and its
+    column transform maps each form's exponents to its vector.
+    """
     if field.is_rational:
-        return 1
+        return ClassGroup(None, (), {None: ()})
     if not field.is_imaginary:
-        raise RealFieldError("class numbers implemented for imaginary fields only")
-    return len(reduced_forms(field.disc))
+        raise RealFieldError("class groups implemented for imaginary fields and Q only")
+    one = reduce_form(principal_form(field.disc))
+    sub, rows = {one: []}, []  # H as form -> exponents over the generators so far
+    for p in primes_upto(isqrt(-field.disc // 3)):
+        g = ideal_class_form(_primes_above(p, field)[0].ideal)
+        if g in sub:
+            continue
+        powers = [g]  # g^1 .. g^(e-1), none of them in H
+        w = compose(g, g)
+        while w not in sub:
+            powers.append(w)
+            w = compose(w, g)
+        k = len(rows)
+        rows.append([-x for x in sub[w]] + [0] * (k - len(sub[w])) + [len(powers) + 1])
+        base = list(sub.items())
+        for j, gj in enumerate(powers, 1):
+            for f, u in base:
+                sub[gj if f == one else compose(f, gj)] = u + [0] * (k - len(u)) + [j]
+    k = len(rows)
+    diag, v = _smith([row + [0] * (k - len(row)) for row in rows])
+    keep = [t for t in range(k) if diag[t] > 1]
+    coords = {
+        f: tuple(sum(x * v[i][t] for i, x in enumerate(u)) % diag[t] for t in keep)
+        for f, u in sub.items()
+    }
+    group = ClassGroup(one, tuple(diag[t] for t in keep), coords)
+    if AbelianGroupSpec(group.invariants).order != len(coords):
+        raise InternalInvariantError("class group order mismatch")
+    return group
+
+
+def class_number(field: FieldSpec) -> int:
+    return len(class_group(field).coords)
 
 
 def class_group_structure(field: FieldSpec) -> AbelianGroupSpec:
-    if field.is_rational:
-        return AbelianGroupSpec(())
-    if not field.is_imaginary:
-        raise RealFieldError("class groups implemented for imaginary fields only")
-    forms = reduced_forms(field.disc)
-    h = len(forms)
-    if h == 1:
-        return AbelianGroupSpec(())
-    # invariant factors from element counts in each p-primary part:
-    # log_p #{f : f^(p^k) = id} = sum_i min(lambda_i, k)
-    ident = reduce_form(principal_form(field.disc))
-    partitions: dict[int, list[int]] = {}
-    for p in factorint(h):
-        prev_log = 0
-        ms = []
-        k = 1
-        while True:
-            cnt = sum(1 for f in forms if form_pow(f, p**k) == ident)
-            log = 0
-            c = cnt
-            while c > 1:
-                c //= p
-                log += 1
-            mk = log - prev_log
-            if mk == 0:
-                break
-            ms.append(mk)
-            prev_log = log
-            k += 1
-        # ms[k-1] = #{i : lambda_i >= k}; transpose into the partition
-        lam = [sum(1 for mk in ms if mk >= i + 1) for i in range(ms[0])]
-        partitions[p] = lam
-    rank = max(len(lam) for lam in partitions.values())
-    factors_desc = []
-    for j in range(rank):
-        m = 1
-        for p, lam in partitions.items():
-            if j < len(lam):
-                m *= p ** lam[j]
-        factors_desc.append(m)
-    invariants = tuple(reversed(factors_desc))
-    spec = AbelianGroupSpec(invariants)
-    if spec.order != h:
-        raise InternalInvariantError("group structure order mismatch")
-    return spec
+    return AbelianGroupSpec(class_group(field).invariants)
 
 
 # ---------------------------------------------------------------------------

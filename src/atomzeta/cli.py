@@ -27,10 +27,14 @@ from atomzeta import __version__
 from atomzeta.atoms import factor_into_atoms, verify_norm_identity
 from atomzeta.classgroup import (
     class_group_structure,
-    class_number,
     davenport_constant,
 )
-from atomzeta.errors import DomainError, InternalInvariantError, UnitElementError
+from atomzeta.errors import (
+    CapExceededError,
+    DomainError,
+    InternalInvariantError,
+    UnitElementError,
+)
 from atomzeta.ring import (
     FieldSpec,
     fundamental_unit,
@@ -136,6 +140,12 @@ def _emit(args, config: str, header: list[str], rows: list[list], meta: dict) ->
 
 def cmd_ring(args) -> int:
     field = _parse_field(args.d)
+    if field.is_real:
+        unit = fundamental_unit(field)
+        limit = sys.get_int_max_str_digits()
+        if limit and max(abs(unit.x), abs(unit.y)) >= 10**limit:
+            raise CapExceededError(f"the fundamental unit has more than {limit} digits, "
+                                   "the int-to-str limit (sys.set_int_max_str_digits)")
     print(f"field: {field.label()}")
     print(f"degree: {field.degree}")
     print(f"discriminant: {field.disc}")
@@ -145,14 +155,13 @@ def cmd_ring(args) -> int:
         print("class number: 1 (trivial group), Davenport constant D = 1")
         return 0
     if field.is_real:
-        print(f"units: {{+-1}} x <fundamental unit {fundamental_unit(field)}>")
+        print(f"units: {{+-1}} x <fundamental unit {unit}>")
         print("class data: not computed for real fields (documented limitation)")
         return 0
     print(f"roots of unity: {len(roots_of_unity(field))}")
-    h = class_number(field)
     group = class_group_structure(field)
     d_const = davenport_constant(group)
-    print(f"class number: h = {h}")
+    print(f"class number: h = {group.order}")
     print(f"class group: {group}")
     print(f"Davenport constant: D = {d_const}")
     return 0

@@ -15,7 +15,7 @@ from math import e as _E, log
 import mpmath
 
 from atomzeta.atoms import _atom_finder
-from atomzeta.classgroup import class_group_structure, davenport_constant, ideal_class_form
+from atomzeta.classgroup import class_group, class_group_structure, davenport_constant
 from atomzeta.errors import DomainError
 from atomzeta.ideals import (
     FactoredIdeal,
@@ -140,7 +140,7 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
     only if it is the only atom.  That depends only on the box's prime
     classes with exponents (atoms are the minimal zero-sum sequences of the
     block monoid over Cl(K)), so it is decided once per sorted (class
-    index, exponent) signature.
+    vector, exponent) signature.
     """
     if aspec.kind == "prime-ideals":
         for p in primes_upto(kappa):
@@ -150,17 +150,17 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
         return
     atoms_of = _atom_finder(field, kappa)
     if aspec.kind == "all-atoms":
-        forms, tags, known = {}, {}, {}  # class indices, prime tags, memo
+        # real fields have no class vectors yet and decide every ideal, storing
+        # nothing, until reduced-ideal cycles (ROADMAP direction C)
+        vector = None if field.is_real else class_group(field).vector
+        vecs, known = {}, {}  # prime vectors by id, signature memo
         for norm, fac in enumerate_ideals_factored(field, kappa):
-            # real fields have no class tag yet and decide every ideal, storing
-            # nothing, until reduced-ideal cycles (ROADMAP direction C)
             sig = None
-            if not field.is_real:
+            if vector:
                 for prime, _ in fac:
-                    if id(prime) not in tags:  # the walk makes each PrimeIdeal once
-                        form = ideal_class_form(prime.ideal) if field.is_imaginary else None
-                        tags[id(prime)] = forms.setdefault(form, len(forms))
-                sig = tuple(sorted((tags[id(prime)], e) for prime, e in fac))
+                    if id(prime) not in vecs:  # the walk makes each PrimeIdeal once
+                        vecs[id(prime)] = vector(prime.ideal)
+                sig = tuple(sorted((vecs[id(prime)], e) for prime, e in fac))
             keep = known.get(sig)
             if keep is None:
                 # a box with no principal sub-box yields no atom at all

@@ -13,7 +13,7 @@ from collections import Counter
 from itertools import compress, count
 from math import gcd, isqrt
 
-from atomzeta.errors import DomainError
+from atomzeta.errors import CapExceededError, DomainError
 
 # (psi_k, k): psi_k is the least strong pseudoprime to all of the first k
 # prime bases, so for n < psi_k those k bases decide primality exactly
@@ -37,10 +37,15 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _SMALL_PRIMES = _MR_BASES + (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 # an n > 1 with no prime factor <= 97 is prime when it is below 101^2
 _TRIAL_BOUND = 101 * 101
+# largest n primes_upto takes: a 50 MB mask and 5,761,455 primes in a list
+SIEVE_LIMIT = 10**8
 
 
 def primes_upto(n: int) -> list[int]:
-    """All primes <= n, ascending (Eratosthenes over the odd numbers)."""
+    """All primes <= n, ascending (Eratosthenes over the odd numbers).
+    CapExceededError above SIEVE_LIMIT, before anything is allocated."""
+    if n > SIEVE_LIMIT:
+        raise CapExceededError(f"sieving the primes up to {n} exceeds the sieve limit {SIEVE_LIMIT}")
     if n < 2:
         return []
     size = (n + 1) // 2  # mask[k] stands for 2k + 1

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own algorithms: Pell
 solutions come from a direct y-scan, irreducibility from a divisor-class
-scan, ideal enumeration from a raw HNF triple scan, atom factorizations
+scan, ideal enumeration from a raw HNF triple scan, class groups from
+counting f^(p^k) = 1 over every reduced form, atom factorizations
 from a scan of every sub-product in order, Davenport constants
 from a subset-sum search over tuples, primes from trial division,
 factorizations and primality from sympy, and so on.
@@ -189,6 +190,85 @@ def reduced_forms_brute(disc: int):
             if f.is_reduced():
                 out.append(f)
     return out
+
+
+def reduced_forms(disc: int):
+    """All reduced forms of a negative discriminant, sorted: a loop over b
+    and then over every a <= sqrt((b^2 - D)/4), O(|D|) steps."""
+    from atomzeta.classgroup import QuadForm
+    from atomzeta.errors import DomainError
+
+    if disc >= 0 or disc % 4 not in (0, 1):
+        raise DomainError("need a negative discriminant = 0, 1 (mod 4)")
+    out = []
+    for b in range(abs(disc) % 2, isqrt(abs(disc) // 3) + 1, 2):
+        m4 = b * b - disc
+        if m4 % 4:
+            continue
+        m = m4 // 4
+        a = max(b, 1)
+        while a * a <= m:
+            if m % a == 0:
+                c = m // a
+                out.append(QuadForm(a, b, c))
+                if 0 < b < a < c:
+                    out.append(QuadForm(a, -b, c))
+            a += 1
+    return sorted(out, key=lambda f: (f.a, f.b, f.c))
+
+
+def form_pow(f, n: int):
+    """f^n by square-and-multiply over compose."""
+    from atomzeta.classgroup import compose, principal_form, reduce_form
+
+    r = reduce_form(principal_form(f.disc))
+    b = reduce_form(f)
+    while n:
+        if n & 1:
+            r = compose(r, b)
+        b = compose(b, b)
+        n >>= 1
+    return r
+
+
+def class_invariants_by_counting(disc: int) -> tuple[int, ...]:
+    """Invariant factors m1 | ... | mr of the form class group, from element
+    counts in each p-primary part over every reduced form:
+    log_p #{f : f^(p^k) = id} = sum_i min(lambda_i, k)."""
+    from atomzeta.classgroup import principal_form, reduce_form
+
+    forms = reduced_forms(disc)
+    h = len(forms)
+    ident = reduce_form(principal_form(disc))
+    partitions: dict[int, list[int]] = {}
+    for p in (q for q in primes_trial(h) if h % q == 0):
+        prev_log = 0
+        ms = []
+        k = 1
+        while True:
+            cnt = sum(1 for f in forms if form_pow(f, p**k) == ident)
+            log = 0
+            c = cnt
+            while c > 1:
+                c //= p
+                log += 1
+            mk = log - prev_log
+            if mk == 0:
+                break
+            ms.append(mk)
+            prev_log = log
+            k += 1
+        # ms[k-1] = #{i : lambda_i >= k}; transpose into the partition
+        partitions[p] = [sum(1 for mk in ms if mk >= i + 1) for i in range(ms[0])]
+    rank = max((len(lam) for lam in partitions.values()), default=0)
+    factors_desc = []
+    for j in range(rank):
+        m = 1
+        for p, lam in partitions.items():
+            if j < len(lam):
+                m *= p ** lam[j]
+        factors_desc.append(m)
+    return tuple(reversed(factors_desc))
 
 
 def davenport_brute(invariants: tuple[int, ...]) -> int:

@@ -7,11 +7,11 @@ import pytest
 from atomzeta.classgroup import (
     AbelianGroupSpec,
     QuadForm,
+    class_group,
     class_group_structure,
     class_number,
     compose,
     davenport_constant,
-    form_pow,
     form_to_ideal,
     ideal_class_form,
     ideal_to_form,
@@ -19,12 +19,19 @@ from atomzeta.classgroup import (
     is_principal_class,
     principal_form,
     reduce_form,
-    reduced_forms,
 )
 from atomzeta.errors import CapExceededError, RealFieldError
 from atomzeta.ideals import ideal_mul, primes_above, principal_ideal
-from atomzeta.ring import is_associated, make_field
-from oracles import davenport_brute, hnf_triples_brute, reduced_forms_brute
+from atomzeta.ring import is_associated, is_squarefree, make_field
+from oracles import (
+    class_invariants_by_counting,
+    davenport_brute,
+    form_pow,
+    hnf_triples_brute,
+    primes_trial,
+    reduced_forms,
+    reduced_forms_brute,
+)
 
 F1 = make_field(-1)
 F5 = make_field(-5)
@@ -186,6 +193,52 @@ def test_class_group_order_matches_class_number():
     for d in (-1, -5, -21, -23, -30, -47, -89, -101, -14, -26):
         f = make_field(d)
         assert class_group_structure(f).order == class_number(f)
+
+
+def test_class_group_matches_counting_oracle():
+    # every squarefree d in [-2000, -1], and the rank 4, 4 and 5 groups of
+    # d = -1365, -4641, -30030
+    ds = [d for d in range(-1, -2001, -1) if is_squarefree(d)] + [-4641, -30030]
+    ranks = {}
+    for d in ds:
+        f = make_field(d)
+        group = class_group(f)
+        forms = reduced_forms(f.disc)
+        assert set(group.coords) == set(forms), d
+        assert len(set(group.coords.values())) == len(forms), d
+        assert group.invariants == class_invariants_by_counting(f.disc), d
+        assert group.coords[group.identity] == (0,) * len(group.invariants)
+        ranks[d] = len(group.invariants)
+    assert (ranks[-1365], ranks[-4641], ranks[-30030]) == (4, 4, 5)
+
+
+def test_class_vectors_are_a_homomorphism():
+    rng = random.Random(43)
+    for d in (-5, -23, -89, -1365, -4641):
+        f = make_field(d)
+        group = class_group(f)
+        ideals = hnf_triples_brute(f, 40)
+        for _ in range(60):
+            i1, i2 = rng.choice(ideals), rng.choice(ideals)
+            assert group.vector(ideal_mul(i1, i2)) == group.add(
+                group.vector(i1), group.vector(i2)
+            )
+
+
+def test_conjugate_prime_vectors_cancel():
+    for d in (-5, -14, -23, -1365):
+        f = make_field(d)
+        group = class_group(f)
+        zero = (0,) * len(group.invariants)
+        split = 0
+        for p in primes_trial(1000):
+            primes = primes_above(p, f)
+            if primes[0].kind != "split":
+                continue
+            split += 1
+            v, w = (group.vector(prime.ideal) for prime in primes)
+            assert group.add(v, w) == zero and group.neg(v) == w, (d, p)
+        assert split > 50
 
 
 def test_abelian_group_spec_validation():

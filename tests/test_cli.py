@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from atomzeta.cli import _parse_kappa_grid, main
@@ -53,6 +54,46 @@ def test_ring_large_rank_two_group_subprocess():
     assert proc.returncode == 0, proc.stderr
     assert "class group: Z/2 x Z/22" in proc.stdout
     assert "Davenport constant: D = 23" in proc.stdout
+
+
+# captured from the O(|D|) reduced-form enumeration, which took 12.6 s and 67 s
+# on a 2-core host
+RING_LARGE_H = {
+    "-99999989": (
+        "field: Q(√-99999989)\ndegree: 2\ndiscriminant: -399999956\n"
+        "integral basis: (1, √-99999989)\nroots of unity: 2\n"
+        "class number: h = 9974\nclass group: Z/9974\nDavenport constant: D = 9974\n"
+    ),
+    "-999999937": (
+        "field: Q(√-999999937)\ndegree: 2\ndiscriminant: -3999999748\n"
+        "integral basis: (1, √-999999937)\nroots of unity: 2\n"
+        "class number: h = 17072\nclass group: Z/17072\nDavenport constant: D = 17072\n"
+    ),
+}
+
+
+def test_ring_large_class_groups_pinned(capsys):
+    for d, expected in RING_LARGE_H.items():
+        code, out, err = run_cli(capsys, "ring", "-d", d)
+        assert code == 0 and not err
+        assert out == expected
+
+
+def test_ring_real_unit_beyond_str_limit_exit_2(capsys):
+    # the fundamental unit of d = 1000081 has 857 digits in y, 860 in x
+    code, out, err = run_cli(capsys, "ring", "-d", "1000081")
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "44f4228436b37b9e800b6d29912b3cd816ff2971468f5595c67bde5e16ab9f0b"
+    )
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        code, out, err = run_cli(capsys, "ring", "-d", "1000081")
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert code == 2 and not out
+    assert "more than 640 digits" in err
 
 
 def test_ring_rational_and_real(capsys):
@@ -267,6 +308,17 @@ def test_kappa_inf_exit_2(capsys):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("atomzeta: error:"), argv
+
+
+def test_kappa_above_sieve_limit_exit_2(capsys):
+    for kappa in ("9007199254740993", "100000001"):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "zeta", "-d", "-5", "--aset", "prime-ideals", "--s", "1", "--kappa", kappa
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out
+        assert "sieve limit 100000000" in err
 
 
 def test_kappa_parsed_exactly():
