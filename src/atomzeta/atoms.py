@@ -145,6 +145,8 @@ def _atom_finder(field: FieldSpec, cap: int):
 
     def atoms(fac):
         pool = [(prime, e) for prime, e in fac if prime.norm <= cap]
+        if not pool:
+            return
         n = len(pool)
         classes = classes_of([prime for prime, _ in pool])
         found = []

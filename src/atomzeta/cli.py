@@ -19,6 +19,7 @@ import os
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from functools import lru_cache
 from math import isinf
 
 import mpmath
@@ -309,8 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser, built once per process and reused by every main call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.threads is None:
             args.threads = default_threads()

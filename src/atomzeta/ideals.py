@@ -209,7 +209,7 @@ class PrimeIdeal:
 
     @property
     def norm(self) -> int:
-        return self.ideal.norm
+        return self.p**self.f
 
 
 def splitting_type(p: int, field: FieldSpec) -> str:
@@ -222,32 +222,30 @@ def primes_above(p: int, field: FieldSpec) -> list[PrimeIdeal]:
     return _primes_above(p, field)
 
 
+_KINDS = {1: "split", -1: "inert", 0: "ramified"}
+
+
 def _primes_above(p: int, field: FieldSpec) -> list[PrimeIdeal]:
-    """primes_above for a p already certified prime by a sieve or factorint."""
+    """primes_above for a p already certified prime by a sieve or factorint,
+    in order of b.  A prime of degree 1 is <p, b + w> with -b a root of the
+    minimal polynomial of w modulo p."""
     if field.is_rational:
         return [PrimeIdeal(p, "rational", Ideal(field, p, 0, 1), 1)]
-    kind = {1: "split", -1: "inert", 0: "ramified"}[kronecker_symbol(field.disc, p)]
-    d = field.d
+    kind = _KINDS[kronecker_symbol(field.disc, p)]
     if kind == "inert":
         return [PrimeIdeal(p, kind, Ideal(field, p, 0, p), 2)]
-    # roots of the minimal polynomial of w modulo p
-    if field.half_basis:
-        if p == 2:
-            roots = [0, 1]  # split case; ramified impossible for odd disc
-        else:
-            r = sqrt_mod_prime(d, p) if kind == "split" else 0
-            inv2 = pow(2, -1, p)
-            roots = [(1 + r) * inv2 % p, (1 - r) * inv2 % p]
+    d = field.d
+    if p == 2:  # split for an odd disc (roots 0, 1), ramified for an even one
+        bs = (0, 1) if field.half_basis else (d % 2,)
     else:
-        if p == 2:
-            roots = [d % 2, d % 2]
-        else:
-            r = sqrt_mod_prime(d, p) if kind == "split" else 0
-            roots = [r, (-r) % p]
-    ideals = sorted({Ideal(field, p, (-r) % p, 1) for r in roots}, key=lambda i: i.b)
-    if kind == "ramified":
-        return [PrimeIdeal(p, kind, ideals[0], 1)]
-    return [PrimeIdeal(p, kind, i, 1) for i in ideals]
+        r = sqrt_mod_prime(d, p) if kind == "split" else 0
+        if field.half_basis:  # roots (1 +- r)/2; (p + 1)/2 inverts 2
+            inv2 = (p + 1) // 2
+            bs = ((-1 - r) * inv2 % p, (r - 1) * inv2 % p)
+        else:  # roots +-r
+            bs = (r, -r % p)
+        bs = (bs[0],) if kind == "ramified" else sorted(bs)
+    return [PrimeIdeal(p, kind, Ideal(field, p, b, 1), 1) for b in bs]
 
 
 # ---------------------------------------------------------------------------

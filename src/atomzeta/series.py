@@ -221,15 +221,21 @@ def zeta_partial(
     return _norm_sum([i.norm for i in ideals if i.norm <= kappa], s, prec_bits)
 
 
-def _norm_sum(norms: list[int], s: Fraction, prec_bits: int) -> tuple[mpmath.mpf, int]:
+def _norm_sum(
+    norms: list[int], s: Fraction, prec_bits: int, terms: dict | None = None
+) -> tuple[mpmath.mpf, int]:
+    """terms, a dict the rows of one table share, keeps each norm's n^-s."""
     count = len(norms)
     with mpmath.workprec(max(prec_bits, MIN_PREC_BITS)):
         if s == 0:
             return mpmath.mpf(count), count
         sexp = mpmath.mpf(s.numerator) / s.denominator
+        terms = {} if terms is None else terms
         total = mpmath.mpf(0)
         for n, k in sorted(Counter(norms).items()):
-            total += k * mpmath.mpf(n) ** (-sexp)
+            if n not in terms:
+                terms[n] = mpmath.mpf(n) ** (-sexp)
+            total += k * terms[n]
         return total, count
 
 
@@ -277,10 +283,10 @@ def divergence_table(
     # one build at the largest kappa, kept as (norm, least m in X) with
     # m = 1 for sets not drawn from X; a row counts the pairs with both <= kappa
     table = [(n, m) for n, m, _ in _atom_parts(field, aspec, kappa_grid[-1])]
-    rows = []
+    rows, terms = [], {}
     for kappa in kappa_grid:
         norms = [n for n, m in table if n <= kappa and m <= kappa]
-        total, count = _norm_sum(norms, s, prec_bits)
+        total, count = _norm_sum(norms, s, prec_bits, terms)
         rows.append(SeriesRow(kappa, count, total))
     return SeriesTable(
         field.label(), aspec.label(), s, tuple(rows), increment_floor
@@ -288,15 +294,17 @@ def divergence_table(
 
 
 def euler_primes_sum(x: int, prec_bits: int = DEFAULT_PREC_BITS) -> mpmath.mpf:
-    """Sum of 1/p over primes p <= x, via a sieve, in increasing order."""
+    """Sum of 1/p over primes p <= x, via a sieve: the exact integer sum of
+    floor(2^K / p) with K = prec + 64 guard bits, rounded to an mpf once.
+    Each floor loses less than 2^-K and pi(SIEVE_LIMIT) < 2^23 terms, so
+    the truncation stays below 2^-(prec + 40)."""
     if x < 2:
         raise DomainError("x must be >= 2")
-    with mpmath.workprec(max(prec_bits, MIN_PREC_BITS)):
-        total = mpmath.mpf(0)
-        one = mpmath.mpf(1)
-        for p in primes_upto(x):
-            total += one / p
-        return total
+    prec = max(prec_bits, MIN_PREC_BITS)
+    k = prec + 64
+    scaled = sum(map((1 << k).__floordiv__, primes_upto(x)))
+    with mpmath.workprec(prec):
+        return mpmath.ldexp(mpmath.mpf(scaled), -k)
 
 
 # ---------------------------------------------------------------------------

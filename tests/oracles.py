@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the library's own algorithms: Pell
 solutions come from a direct y-scan, irreducibility from a divisor-class
-scan, ideal enumeration from a raw HNF triple scan, class groups from
-counting f^(p^k) = 1 over every reduced form, atom factorizations
-from a scan of every sub-product in order, Davenport constants
-from a subset-sum search over tuples, primes from trial division,
+scan, ideal enumeration from a raw HNF triple scan, prime ideals from a
+scan of every b mod p, class groups from counting f^(p^k) = 1 over every
+reduced form, atom factorizations from a scan of every sub-product in
+order, Davenport constants from a subset-sum search over tuples, the
+Euler sum from a term-by-term mpmath loop, primes from trial division,
 factorizations and primality from sympy, and so on.
 """
 
@@ -172,6 +173,24 @@ def hnf_triples_brute(field: FieldSpec, kappa: int):
                 if ideal.contains(g1.mul_omega()) and ideal.contains(g2.mul_omega()):
                     out.append(ideal)
     return sorted(out, key=lambda i: i.sort_key())
+
+
+def prime_hnfs_brute(field: FieldSpec, p: int):
+    """The prime ideals above the prime p as HNFs, in order of b, by raw
+    scan.  A prime above p has norm p or p^2.  Each <p, b + w>, b < p,
+    closed under w has norm p and so is prime; an <p^2, b + w> is not,
+    since Z_K/I is cyclic of order p^2; and (p) = <p, p*w>, of norm p^2,
+    is prime iff no ideal of norm p contains it, that is iff there is
+    none.  Over Q, the one prime is (p)."""
+    from atomzeta.ideals import Ideal
+
+    if field.is_rational:
+        return [Ideal(field, p, 0, 1)]
+    ww = field.omega * field.omega
+    # w*(b + w) = ww.x + (b + ww.y)*w lies in pZ + (b + w)Z iff
+    # ww.x - (b + ww.y)*b = 0 mod p; p*w always does
+    bs = [b for b in range(p) if (ww.x - (b + ww.y) * b) % p == 0]
+    return [Ideal(field, p, b, 1) for b in bs] or [Ideal(field, p, 0, p)]
 
 
 def reduced_forms_brute(disc: int):
@@ -378,3 +397,19 @@ def all_atoms_per_ideal(field: FieldSpec, kappa: int) -> list[int]:
         for norm, fac in enumerate_ideals_factored(field, kappa)
         if next(atoms_of(fac), (0,))[0] == norm
     )
+
+
+def euler_primes_sum_loop(x: int, prec_bits: int = 100):
+    """Sum of 1/p over the primes p <= x by the sequential mpmath loop,
+    rounding after every term (independent of the fixed-point sum; the
+    primes come from the sieve, which has its own oracles)."""
+    import mpmath
+
+    from atomzeta.sieve import primes_upto
+
+    with mpmath.workprec(max(prec_bits, 80)):
+        total = mpmath.mpf(0)
+        one = mpmath.mpf(1)
+        for p in primes_upto(x):
+            total += one / p
+        return total

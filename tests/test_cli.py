@@ -8,7 +8,7 @@ import sys
 import time
 from pathlib import Path
 
-from atomzeta.cli import _parse_kappa_grid, main
+from atomzeta.cli import _parse_kappa_grid, _parser, main
 from atomzeta.ring import make_field
 
 
@@ -447,3 +447,41 @@ def test_prec_below_80_exit_2(capsys):
     assert err.startswith("atomzeta: error:") and "--prec" in err
     code, out, _ = run_cli(capsys, "census", "-d", "-5", "--kappa", "100", "--prec", "80")
     assert code == 0 and out
+
+
+def test_main_reuses_one_parser_like_fresh_calls(capsys):
+    # main builds its parser once per process; repeated calls on that parser
+    # must print and exit exactly as calls on a freshly built one, with no
+    # option carried over from an earlier call
+    argvs = [
+        ["ring", "-d", "-5"],
+        ["census", "-d", "-5", "--kappa", "100", "--format", "json"],
+        ["census", "-d", "-5", "--kappa", "100"],
+        ["factor", "-d", "-5", "6"],
+        ["zeta", "-d", "-5", "--aset", "atoms-dividing:primes", "--s", "1/2",
+         "--kappa", "10,100", "--prec", "120"],
+        ["zeta", "-d", "-5", "--aset", "atoms-dividing:primes", "--s", "1/2",
+         "--kappa", "10,100"],
+        ["zeta", "-d", "-5", "--aset", "prime-ideals", "--s", "1", "--kappa", "10",
+         "--bogus"],
+        ["ring", "-d", "12"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in argvs:
+        _parser.cache_clear()
+        fresh.append(call(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 0, 2, 2]
+    assert fresh[6][1] == "" and "--bogus" in fresh[6][2]
+    assert _parser() is _parser()
+    for _ in range(2):
+        assert [call(argv) for argv in argvs] == fresh
+

@@ -6,6 +6,7 @@ from atomzeta.errors import DomainError, ZeroElementError
 from atomzeta.ideals import (
     FactoredIdeal,
     Ideal,
+    _primes_above,
     enumerate_ideals_factored,
     factor_ideal,
     ideal_mul,
@@ -17,7 +18,7 @@ from atomzeta.ideals import (
 )
 from atomzeta.ring import make_field, rational_field
 from atomzeta.sieve import primes_upto
-from oracles import divisor_ideals, hnf_triples_brute
+from oracles import divisor_ideals, hnf_triples_brute, prime_hnfs_brute
 
 F1 = make_field(-1)
 F5 = make_field(-5)
@@ -111,6 +112,47 @@ def test_primes_above_multiply_to_p():
                 for _ in range(e):
                     acc = ideal_mul(acc, prime.ideal)
             assert acc == principal_ideal(f.element(p))
+
+
+ORACLE_FIELDS = [make_field(d) for d in (-1, -3, -5, -14, -23, 2, 3, 5, 10, 13)] + [
+    rational_field()
+]
+
+
+def test_primes_above_matches_brute_oracle():
+    for f in ORACLE_FIELDS:
+        for p in primes_upto(2999):
+            got = _primes_above(p, f)
+            assert [prime.ideal for prime in got] == prime_hnfs_brute(f, p), (f.label(), p)
+            assert [(prime.p, prime.ideal.b) for prime in got] == sorted(
+                (prime.p, prime.ideal.b) for prime in got
+            )
+            assert all(prime.norm == prime.ideal.norm for prime in got), (f.label(), p)
+    # p = 2 in both integral bases: w = sqrt(d) (2 ramifies) and
+    # w = (1 + sqrt(d))/2 (2 splits for d = 1 mod 8, is inert for d = 5 mod 8)
+    above2 = {d: [(pr.kind, pr.ideal.b, pr.ideal.c) for pr in _primes_above(2, make_field(d))]
+              for d in (-1, -14, 3, -23, -3, 5)}
+    assert above2 == {
+        -1: [("ramified", 1, 1)], -14: [("ramified", 0, 1)], 3: [("ramified", 1, 1)],
+        -23: [("split", 0, 1), ("split", 1, 1)],
+        -3: [("inert", 0, 2)], 5: [("inert", 0, 2)],
+    }
+
+
+def test_prime_hnf_oracle_matches_maximal_hnfs():
+    # the scan oracle against the raw HNF triple scan: the prime ideals
+    # above p are the HNFs of norm p or p^2 that no other proper HNF of
+    # smaller norm contains (nonzero primes are maximal); over Q both are (p)
+    for f in ORACLE_FIELDS[:-1]:
+        triples = hnf_triples_brute(f, 121)
+        for p in primes_upto(11):
+            near = [i for i in triples if i.norm in (p, p * p)]
+            maximal = [
+                i for i in near
+                if not any(j.norm < i.norm and all(map(j.contains, i.generators()))
+                           for j in triples if j.norm > 1)
+            ]
+            assert sorted(maximal, key=lambda i: i.b) == prime_hnfs_brute(f, p), (f.label(), p)
 
 
 def test_factor_ideal_examples():

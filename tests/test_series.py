@@ -8,6 +8,8 @@ from atomzeta.atoms import atom_ideals_dividing
 from atomzeta.errors import DomainError
 from atomzeta.ring import make_field, rational_field
 from atomzeta.series import (
+    DEFAULT_PREC_BITS,
+    _norm_sum,
     atom_census,
     asymptotic_report,
     build_ideal_set,
@@ -18,7 +20,12 @@ from atomzeta.series import (
     zeta_partial,
 )
 from atomzeta.sieve import primes_upto
-from oracles import all_atoms_per_ideal, atoms_dividing_brute, reps_by_norm
+from oracles import (
+    all_atoms_per_ideal,
+    atoms_dividing_brute,
+    euler_primes_sum_loop,
+    reps_by_norm,
+)
 
 F1 = make_field(-1)
 F5 = make_field(-5)
@@ -199,6 +206,24 @@ def test_divergence_rows_equal_per_kappa_builds():
                 )
 
 
+def test_divergence_rows_equal_fresh_norm_sums():
+    # the table computes each norm's term once and shares it across rows;
+    # every row must equal a fresh _norm_sum that computes its own terms
+    grid = [10, 100, 1000]
+    for spec in ("prime-ideals", "all-atoms", "atoms-dividing:all", "atoms-dividing:ap:3,4"):
+        aspec = parse_aset(spec)
+        norms = {k: [i.norm for i in build_ideal_set(F5, aspec, k)] for k in grid}
+        for s in (Fraction(0), Fraction(1, 2), Fraction(1)):
+            rows = divergence_table(F5, aspec, s, grid).rows
+            for row in rows:
+                total, count = _norm_sum(norms[row.kappa], s, DEFAULT_PREC_BITS)
+                assert (row.count, row.partial_sum) == (count, total), (spec, s, row.kappa)
+    # 2 +- sqrt(-5) have norm 9 and first divide 27 in ap:3,4, so a later
+    # row adds small-norm atoms and the rows are not prefixes of one another
+    # (in atoms-dividing:all they are: an atom divides its norm)
+    assert (norms[10].count(9), norms[100].count(9)) == (1, 3)
+
+
 def test_divergence_table_rejects_bad_grid():
     with pytest.raises(DomainError):
         divergence_table(F1, parse_aset("prime-ideals"), Fraction(1), [100, 50])
@@ -211,6 +236,22 @@ def test_euler_primes_sum_hand_value():
     assert mpmath.almosteq(euler_primes_sum(10), mpmath.mpf(247) / 210)
     with pytest.raises(DomainError):
         euler_primes_sum(1)
+
+
+def test_euler_primes_sum_within_one_rounding_of_exact():
+    for x in (10, 1000, 10**4):
+        exact = sum(Fraction(1, p) for p in primes_upto(x))
+        got = euler_primes_sum(x)
+        man, exp = got.man_exp
+        value = Fraction(man) * Fraction(2) ** exp
+        assert abs(value - exact) <= exact / 2**DEFAULT_PREC_BITS, x
+
+
+def test_euler_primes_sum_matches_sequential_loop_oracle():
+    for x in (10**5, 10**6):
+        assert mpmath.nstr(euler_primes_sum(x), 25, strip_zeros=False) == mpmath.nstr(
+            euler_primes_sum_loop(x), 25, strip_zeros=False
+        ), x
 
 
 def test_euler_primes_sum_grows_like_log_log():
