@@ -221,21 +221,15 @@ def zeta_partial(
     return _norm_sum([i.norm for i in ideals if i.norm <= kappa], s, prec_bits)
 
 
-def _norm_sum(
-    norms: list[int], s: Fraction, prec_bits: int, terms: dict | None = None
-) -> tuple[mpmath.mpf, int]:
-    """terms, a dict the rows of one table share, keeps each norm's n^-s."""
+def _norm_sum(norms: list[int], s: Fraction, prec_bits: int) -> tuple[mpmath.mpf, int]:
     count = len(norms)
     with mpmath.workprec(max(prec_bits, MIN_PREC_BITS)):
         if s == 0:
             return mpmath.mpf(count), count
         sexp = mpmath.mpf(s.numerator) / s.denominator
-        terms = {} if terms is None else terms
         total = mpmath.mpf(0)
         for n, k in sorted(Counter(norms).items()):
-            if n not in terms:
-                terms[n] = mpmath.mpf(n) ** (-sexp)
-            total += k * terms[n]
+            total += k * mpmath.mpf(n) ** (-sexp)
         return total, count
 
 
@@ -283,10 +277,10 @@ def divergence_table(
     # one build at the largest kappa, kept as (norm, least m in X) with
     # m = 1 for sets not drawn from X; a row counts the pairs with both <= kappa
     table = [(n, m) for n, m, _ in _atom_parts(field, aspec, kappa_grid[-1])]
-    rows, terms = [], {}
+    rows = []
     for kappa in kappa_grid:
         norms = [n for n, m in table if n <= kappa and m <= kappa]
-        total, count = _norm_sum(norms, s, prec_bits, terms)
+        total, count = _norm_sum(norms, s, prec_bits)
         rows.append(SeriesRow(kappa, count, total))
     return SeriesTable(
         field.label(), aspec.label(), s, tuple(rows), increment_floor

@@ -9,7 +9,6 @@ from atomzeta.errors import DomainError
 from atomzeta.ring import make_field, rational_field
 from atomzeta.series import (
     DEFAULT_PREC_BITS,
-    _norm_sum,
     atom_census,
     asymptotic_report,
     build_ideal_set,
@@ -191,37 +190,24 @@ def test_divergence_table_truncates_x_by_least_m():
 
 
 def test_divergence_rows_equal_per_kappa_builds():
-    grid = [10, 60, 200]
-    s = Fraction(1, 2)
+    grid = [10, 60, 200, 1000]
     for f in (F5, make_field(-23), make_field(2), Q):
         for spec in ("atoms-dividing:all", "atoms-dividing:ap:3,4",
                      "prime-ideals", "all-atoms"):
             aspec = parse_aset(spec)
-            for row in divergence_table(f, aspec, s, grid).rows:
-                total, count = zeta_partial(
-                    build_ideal_set(f, aspec, row.kappa), s, row.kappa
-                )
-                assert (row.count, row.partial_sum) == (count, total), (
-                    f.label(), spec, row.kappa,
-                )
-
-
-def test_divergence_rows_equal_fresh_norm_sums():
-    # the table computes each norm's term once and shares it across rows;
-    # every row must equal a fresh _norm_sum that computes its own terms
-    grid = [10, 100, 1000]
-    for spec in ("prime-ideals", "all-atoms", "atoms-dividing:all", "atoms-dividing:ap:3,4"):
-        aspec = parse_aset(spec)
-        norms = {k: [i.norm for i in build_ideal_set(F5, aspec, k)] for k in grid}
-        for s in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            rows = divergence_table(F5, aspec, s, grid).rows
-            for row in rows:
-                total, count = _norm_sum(norms[row.kappa], s, DEFAULT_PREC_BITS)
-                assert (row.count, row.partial_sum) == (count, total), (spec, s, row.kappa)
+            built = {k: build_ideal_set(f, aspec, k) for k in grid}
+            for s in (Fraction(0), Fraction(1, 2), Fraction(1)):
+                for row in divergence_table(f, aspec, s, grid).rows:
+                    total, count = zeta_partial(built[row.kappa], s, row.kappa)
+                    assert (row.count, row.partial_sum) == (count, total), (
+                        f.label(), spec, s, row.kappa,
+                    )
     # 2 +- sqrt(-5) have norm 9 and first divide 27 in ap:3,4, so a later
     # row adds small-norm atoms and the rows are not prefixes of one another
     # (in atoms-dividing:all they are: an atom divides its norm)
-    assert (norms[10].count(9), norms[100].count(9)) == (1, 3)
+    ap = parse_aset("atoms-dividing:ap:3,4")
+    assert [[i.norm for i in build_ideal_set(F5, ap, k)].count(9)
+            for k in (10, 60)] == [1, 3]
 
 
 def test_divergence_table_rejects_bad_grid():
