@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, sqrt
+from math import isqrt
 
 from atomzeta.errors import (
     CapExceededError,
@@ -145,6 +145,10 @@ def ideal_class_form(ideal: Ideal) -> QuadForm:
 # ---------------------------------------------------------------------------
 # principality
 
+# Largest y the real-field generator scan reaches, about 0.1 s of scanning.
+# Its bound grows with eps; the largest the test suite reaches is 3,432.
+GENERATOR_SCAN_CAP = 10**5
+
 
 def _generator_candidates(ideal: Ideal):
     """Elements of I with |N(e)| = N(I), complete up to sign: the solutions
@@ -154,21 +158,20 @@ def _generator_candidates(ideal: Ideal):
     For imaginary d the bound is the ellipse's.  For real d, any generator
     has an associate in the band [sqrt(N), eps*sqrt(N)) of the positive
     embedding (after a sign flip); there |sigma| < eps*sqrt(N) and
-    |sigma-bar| <= sqrt(N), hence |y|*sqrt(d) <= (1 + eps)*sqrt(N).
+    |sigma-bar| <= sqrt(N), hence |y|*sqrt(d) <= (1 + eps)*sqrt(N).  As
+    |N(eps)| = 1, eps < Tr(eps) + 1, so y^2 <= (Tr(eps) + 2)^2 * N / d.  A
+    real scan stops at GENERATOR_SCAN_CAP and raises CapExceededError there
+    if the bound lies beyond it.
     """
     field = ideal.field
     n, d = ideal.norm, field.d
     scale = 4 if field.half_basis else 1
     if field.is_imaginary:
-        bound = isqrt(scale * n // -d)
+        bound = stop = isqrt(scale * n // -d)
     else:
-        eps = fundamental_unit(field)
-        if field.half_basis:
-            sig = eps.x + eps.y * (1 + sqrt(d)) / 2
-        else:
-            sig = eps.x + eps.y * sqrt(d)
-        bound = int((1.0 + sig) * sqrt(n) / sqrt(d)) + 2
-    for y in range(bound + 1):
+        bound = isqrt((fundamental_unit(field).trace() + 2) ** 2 * n // d)
+        stop = min(bound, GENERATOR_SCAN_CAP)
+    for y in range(stop + 1):
         for target in (n, -n):
             t2 = scale * target + d * y * y
             if t2 < 0:
@@ -185,6 +188,12 @@ def _generator_candidates(ideal: Ideal):
                     e = field.element(ts, y)
                 if ideal.contains(e):
                     yield e
+    if stop < bound:
+        raise CapExceededError(
+            f"no generator of an ideal of norm {n} in {field.label()} has "
+            f"y <= {GENERATOR_SCAN_CAP}, the generator-scan cap; the unit band "
+            f"reaches a {bound.bit_length()}-bit y"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -360,94 +369,20 @@ def class_group_structure(field: FieldSpec) -> AbelianGroupSpec:
 # ---------------------------------------------------------------------------
 # Davenport constant
 
-# Order bound for the residual search (rank >= 3, not a p-group).  Timings
-# of the search on a 2-core host: Z/2 x Z/2 x Z/6 (order 24) 0.14 s,
-# Z/2 x Z/2 x Z/10 (order 40) 17 s, Z/2^3 x Z/6 (order 48) 43 s, and
-# Z/2 x Z/2 x Z/12, Z/3 x Z/3 x Z/6, Z/2 x Z/2 x Z/14 over 60 s each.
-DAVENPORT_CAP = 32
-
-
 def davenport_constant(group: AbelianGroupSpec) -> int:
     """Smallest D such that every length-D sequence has a nonempty zero-sum
     subsequence.
 
     D = 1 + sum(m_i - 1) for rank <= 2 (van Emde Boas & Kruyswijk 1967;
-    Olson 1969, part II) and for p-groups (Olson 1969, part I).  Any other
-    group goes to an exhaustive subset-sum-state search when its order is at
-    most DAVENPORT_CAP; above that, CapExceededError.
+    Olson 1969, part II), for p-groups (Olson 1969, part I) and for
+    Z/2 x Z/2 x Z/2n (Geroldinger & Halter-Koch, Non-Unique Factorizations,
+    section 5.8).  Any other group raises CapExceededError.
     """
     invs = group.invariants
     # m_1 | ... | m_r, so the group is a p-group iff m_r is a prime power
-    if group.rank <= 2 or len(factorint(invs[-1])) == 1:
+    if group.rank <= 2 or len(factorint(invs[-1])) == 1 or invs[:-1] == (2, 2):
         return 1 + sum(m - 1 for m in invs)
-    n = group.order
-    if n > DAVENPORT_CAP:
-        raise CapExceededError(
-            f"no closed form for the Davenport constant of {group} (rank >= 3, "
-            f"not a p-group), and its order {n} exceeds the search cap "
-            f"{DAVENPORT_CAP}"
-        )
-    # Index group elements 0..n-1 in mixed radix over the invariant factors.
-    # Translation of the whole subset-sum bitmask by an element is a rotation
-    # in each mixed-radix coordinate, done with O(1) big-int shift/mask ops.
-    r = len(invs)
-    strides = [1] * r
-    for j in range(1, r):
-        strides[j] = strides[j - 1] * invs[j - 1]
-
-    def to_tuple(i: int) -> tuple[int, ...]:
-        out = []
-        for m in invs:
-            out.append(i % m)
-            i //= m
-        return tuple(out)
-
-    digits = [to_tuple(i) for i in range(n)]
-    full_mask = (1 << n) - 1
-    # low_mask[j][u]: bits whose j-th digit is < m_j - u (they shift up by u)
-    low_mask = []
-    for j, m in enumerate(invs):
-        row = []
-        for u in range(m):
-            bm = 0
-            for i in range(n):
-                if digits[i][j] < m - u:
-                    bm |= 1 << i
-            row.append(bm)
-        low_mask.append(row)
-
-    def make_shift(e: tuple[int, ...]):
-        steps = [
-            (low_mask[j][u], u * strides[j], (invs[j] - u) * strides[j])
-            for j, u in enumerate(e)
-            if u
-        ]
-
-        def shift(x: int) -> int:
-            for bm, up, down in steps:
-                x = ((x & bm) << up) | ((x & ~bm & full_mask) >> down)
-            return x
-
-        return shift
-
-    shifts = [make_shift(digits[j]) for j in range(n)]
-    bit = [1 << j for j in range(n)]
-
-    memo: dict[int, int] = {}
-
-    def longest(state: int) -> int:
-        """Max further elements addable while keeping 0 out of the sumset."""
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        best = 0
-        for j in range(1, n):
-            new = state | shifts[j](state) | bit[j]
-            if new & 1:
-                continue
-            best = max(best, 1 + longest(new))
-        memo[state] = best
-        return best
-
-    # recursion depth is at most D - 1 < n <= DAVENPORT_CAP
-    return 1 + longest(0)
+    raise CapExceededError(
+        f"no closed form for the Davenport constant of {group} (rank >= 3, "
+        f"not a p-group, not Z/2 x Z/2 x Z/2n)"
+    )

@@ -141,12 +141,16 @@ def _emit(args, config: str, header: list[str], rows: list[list], meta: dict) ->
 
 def cmd_ring(args) -> int:
     field = _parse_field(args.d)
+    # every invariant that can exit 2 is computed before anything is printed
     if field.is_real:
         unit = fundamental_unit(field)
         limit = sys.get_int_max_str_digits()
         if limit and max(abs(unit.x), abs(unit.y)) >= 10**limit:
             raise CapExceededError(f"the fundamental unit has more than {limit} digits, "
                                    "the int-to-str limit (sys.set_int_max_str_digits)")
+    elif field.is_imaginary:
+        group = class_group_structure(field)
+        d_const = davenport_constant(group)
     print(f"field: {field.label()}")
     print(f"degree: {field.degree}")
     print(f"discriminant: {field.disc}")
@@ -160,8 +164,6 @@ def cmd_ring(args) -> int:
         print("class data: not computed for real fields (documented limitation)")
         return 0
     print(f"roots of unity: {len(roots_of_unity(field))}")
-    group = class_group_structure(field)
-    d_const = davenport_constant(group)
     print(f"class number: h = {group.order}")
     print(f"class group: {group}")
     print(f"Davenport constant: D = {d_const}")

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-import mpmath
-
 from atomzeta.errors import (
     ImaginaryFieldError,
     InvalidDError,
@@ -22,7 +20,7 @@ from atomzeta.errors import (
 )
 from atomzeta.sieve import factorint
 
-MAX_ABS_D = 10**9  # class-group and Pell routines are desk-scale
+MAX_ABS_D = 10**9  # class-group and unit routines are desk-scale
 
 
 def is_squarefree(n: int) -> bool:
@@ -258,49 +256,30 @@ def roots_of_unity(field: FieldSpec) -> tuple[RingElement, ...]:
     return (one, -one)
 
 
-def _pell_min_solution(d: int) -> tuple[int, int]:
-    """Minimal (x, y), y > 0, with x^2 - d y^2 = +-1, via the CF of sqrt(d)."""
-    a0 = isqrt(d)
-    m, q, a = 0, 1, a0
-    p_prev, p = 1, a0
-    q_prev, qq = 0, 1
-    while p * p - d * qq * qq not in (1, -1):
-        m = a * q - m
-        q = (d - m * m) // q
-        a = (a0 + m) // q
-        p_prev, p = p, a * p + p_prev
-        q_prev, qq = qq, a * qq + q_prev
-    return p, qq
-
-
 @lru_cache(maxsize=None)
 def fundamental_unit(field: FieldSpec) -> RingElement:
-    """Smallest unit > 1 under the embedding sending sqrt(d) to its positive root."""
+    """Smallest unit > 1 under the embedding sending sqrt(d) to its positive root.
+
+    Expands the continued fraction of w = (P + sqrt(d))/Q, with
+    (P, Q) = (1, 2) or (0, 1), keeping the convergents p/q.  After the step
+    that gives p/q, N(p - q*w) = +-Q'/Q for the next Q'.  The first time Q'
+    comes back to Q, p - q*w = +-1/eps, so its conjugate, which is positive,
+    is eps (Cohen, GTM 138, section 5.7).
+    """
     if not field.is_real:
         raise ImaginaryFieldError("fundamental units exist only for real fields")
-    d = field.d
-    x0, y0 = _pell_min_solution(d)
-    if not field.half_basis:
-        return field.element(x0, y0)
-    # eta = x0 + y0*sqrt(d) generates the units of Z[sqrt(d)], whose index in
-    # the units of Z_K is 1 or 3.  Try an exact cube root (X + Y*sqrt(d))/2.
-    eta = field.element(x0 - y0, 2 * y0)  # in w-coordinates
-    with mpmath.workprec(max(x0.bit_length(), 64) + 96):
-        rd = mpmath.sqrt(d)
-        ev = x0 + y0 * rd
-        r = mpmath.cbrt(ev)
-        for sgn in (1, -1):  # N(eps) = +1 or -1
-            xc = int(mpmath.nint(r + sgn / r))
-            yc = int(mpmath.nint((r - sgn / r) / rd))
-            if (
-                yc > 0
-                and xc * xc - d * yc * yc == 4 * sgn
-                and (xc - yc) % 2 == 0
-            ):
-                eps = field.element((xc - yc) // 2, yc)
-                if eps**3 == eta:
-                    return eps
-    return eta
+    d, r = field.d, isqrt(field.d)
+    P, Q = (1, 2) if field.half_basis else (0, 1)
+    q0 = Q
+    p_prev, p, q_prev, q = 0, 1, 1, 0
+    while True:
+        a = (P + r) // Q
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        if Q == q0:
+            return field.element(p, -q).conj()
 
 
 def _unit_inverse(u: RingElement) -> RingElement:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used across the test suite.
 
 Everything here deliberately avoids the library's own algorithms: Pell
-solutions come from a direct y-scan, irreducibility from a divisor-class
+solutions come from a direct y-scan or from the continued fraction of
+sqrt(d) and an mpmath cube root, irreducibility from a divisor-class
 scan, ideal enumeration from a raw HNF triple scan, prime ideals from a
 scan of every b mod p, class groups from counting f^(p^k) = 1 over every
 reduced form, atom factorizations from a scan of every sub-product in
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 from itertools import product
 from math import isqrt, sqrt
+
+import mpmath
 
 from atomzeta.ring import (
     FieldSpec,
@@ -65,6 +68,37 @@ def pell_brute(field: FieldSpec) -> RingElement:
                     if t * t == t2:
                         return field.element(t, y)
         y += 1
+
+
+def fundamental_unit_pell(field: FieldSpec) -> RingElement:
+    """Fundamental unit from the least solution of x^2 - d y^2 = +-1 (the
+    continued fraction of sqrt(d)), then, when w = (1 + sqrt(d))/2, an exact
+    cube root of it in Z_K if one exists (the unit index is 1 or 3)."""
+    d = field.d
+    a0 = isqrt(d)
+    m, q, a = 0, 1, a0
+    p_prev, x0 = 1, a0
+    q_prev, y0 = 0, 1
+    while x0 * x0 - d * y0 * y0 not in (1, -1):
+        m = a * q - m
+        q = (d - m * m) // q
+        a = (a0 + m) // q
+        p_prev, x0 = x0, a * x0 + p_prev
+        q_prev, y0 = y0, a * y0 + q_prev
+    if not field.half_basis:
+        return field.element(x0, y0)
+    eta = field.element(x0 - y0, 2 * y0)  # x0 + y0*sqrt(d) in w-coordinates
+    with mpmath.workprec(max(x0.bit_length(), 64) + 96):
+        rd = mpmath.sqrt(d)
+        r = mpmath.cbrt(x0 + y0 * rd)
+        for sgn in (1, -1):  # N(eps) = +1 or -1
+            xc = int(mpmath.nint(r + sgn / r))
+            yc = int(mpmath.nint((r - sgn / r) / rd))
+            if yc > 0 and xc * xc - d * yc * yc == 4 * sgn and (xc - yc) % 2 == 0:
+                eps = field.element((xc - yc) // 2, yc)
+                if eps**3 == eta:
+                    return eps
+    return eta
 
 
 def associate_class_reps(field: FieldSpec, max_abs_norm: int) -> list[RingElement]:
@@ -403,8 +437,6 @@ def euler_primes_sum_loop(x: int, prec_bits: int = 100):
     """Sum of 1/p over the primes p <= x by the sequential mpmath loop,
     rounding after every term (independent of the fixed-point sum; the
     primes come from the sieve, which has its own oracles)."""
-    import mpmath
-
     from atomzeta.sieve import primes_upto
 
     with mpmath.workprec(max(prec_bits, 80)):

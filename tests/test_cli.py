@@ -94,6 +94,48 @@ def test_ring_real_unit_beyond_str_limit_exit_2(capsys):
         sys.set_int_max_str_digits(before)
     assert code == 2 and not out
     assert "more than 640 digits" in err
+    # the unit of d = 999999937 has 13,325 digits in y; it is refused at once
+    try:
+        sys.set_int_max_str_digits(4300)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "ring", "-d", "999999937")
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert code == 2 and not out
+    assert "more than 4300 digits" in err
+    assert elapsed < 2.0
+
+
+def test_real_field_generator_scan_over_cap_exit_2(capsys):
+    # the y bound of the scan grows with the fundamental unit: about 10^860
+    # for d = 1000081 and 10^22 for d = 631, against a cap of 10^5
+    for argv in (
+        ("factor", "-d", "1000081", "3"),
+        ("zeta", "-d", "1000081", "--aset", "atoms-dividing:primes", "--s", "1", "--kappa", "10"),
+        ("factor", "-d", "631", "3"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and not out, argv
+        assert "y <= 100000, the generator-scan cap" in err, argv
+    # Q(sqrt 94) has h = 1 and a band reaching y = 3,094,897 for the norm 49 of
+    # (7), but the scan finds its generator long before the cap
+    code, out, err = run_cli(capsys, "factor", "-d", "94", "7")
+    assert code == 0 and not err
+    assert "atom: 7  exponent 1  ideal norm 49\n" in out
+
+
+def test_ring_rank_three_davenport(capsys):
+    for d, group, dconst in (("-546", "Z/2 x Z/2 x Z/6", 8), ("-1001", "Z/2 x Z/2 x Z/10", 12)):
+        code, out, err = run_cli(capsys, "ring", "-d", d)
+        assert code == 0 and not err
+        assert f"class group: {group}\nDavenport constant: D = {dconst}\n" in out
+    # no closed form: nothing on stdout, and the error names the group
+    code, out, err = run_cli(capsys, "ring", "-d", "-2805")
+    assert code == 2 and not out
+    assert "Z/2 x Z/2 x Z/2 x Z/6" in err
 
 
 def test_ring_rational_and_real(capsys):

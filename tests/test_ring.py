@@ -18,7 +18,7 @@ from atomzeta.ring import (
     rational_field,
     roots_of_unity,
 )
-from oracles import pell_brute
+from oracles import fundamental_unit_pell, pell_brute
 
 F1 = make_field(-1)
 F3 = make_field(-3)
@@ -104,6 +104,15 @@ def test_fundamental_unit_matches_brute_scan():
             continue
         f = make_field(d)
         assert fundamental_unit(f) == pell_brute(f), d
+
+
+def test_fundamental_unit_matches_pell_cube_root_oracle():
+    from atomzeta.ring import is_squarefree
+
+    for d in range(2, 5000):
+        if is_squarefree(d):
+            f = make_field(d)
+            assert fundamental_unit(f) == fundamental_unit_pell(f), d
 
 
 def test_divides_examples():
