@@ -20,6 +20,7 @@ from atomzeta.ideals import (
     FactoredIdeal,
     Ideal,
     _factor_rational,
+    _prime_pool,
     factor_ideal,
     ideal_mul,
     principal_ideal,
@@ -175,6 +176,55 @@ def _atom_finder(field: FieldSpec, cap: int):
             level = grown
 
     return atoms
+
+
+def _atom_walk(field: FieldSpec, kappa: int):
+    """(norm, parts) for every atom ideal of norm <= kappa of an imaginary
+    field or Q, once each and in no set order; parts = ((PrimeIdeal, k), ...)
+    lists its primes by (norm, a, b).
+
+    An atom is a box of primes whose classes sum to 0 in Cl(K) while no
+    proper nonempty sub-box does, so removing one copy of its last prime
+    leaves a zero-sum-free box: one with no principal nonempty sub-box.
+    A principal prime is an atom on its own and lies in no zero-sum-free
+    box.  The other primes are walked depth first, one copy at a time,
+    through the zero-sum-free boxes only, each node keeping its class t and
+    the set S of the classes of its nonempty sub-boxes (at most h - 1).
+    One more copy of a prime of class g gives an atom if t = -g, a box
+    with a principal proper sub-box (pruned with every higher exponent) if
+    -g is in S, and otherwise the zero-sum-free box with S | (S + g) | {g}.
+    """
+    pool = _prime_pool(field, kappa)
+    classes_of, add, principal = _class_arith(field)
+    neg = class_group(field).neg
+    walk = []
+    for prime, g in zip(pool, classes_of(pool)):
+        if principal(g):
+            yield prime.norm, ((prime, 1),)
+        else:
+            walk.append((prime, prime.norm, g, neg(g)))
+    # (next index into walk, norm, parts, class, sub-box classes)
+    stack = [(0, 1, (), None, frozenset())]
+    while stack:
+        i, norm, parts, t, sums = stack.pop()
+        for j in range(i, len(walk)):
+            prime, q, g, minus_g = walk[j]
+            n2, e = norm * q, 1
+            if n2 > kappa:
+                break
+            s, sub = t, sums
+            while n2 <= kappa:
+                box = parts + ((prime, e),)
+                if s == minus_g:
+                    yield n2, box
+                    break
+                if minus_g in sub:
+                    break
+                s = g if s is None else add(s, g)
+                sub = sub.union([add(c, g) for c in sub], (g,))
+                stack.append((j + 1, n2, box, s, sub))
+                n2 *= q
+                e += 1
 
 
 def atom_ideals_dividing(m: int, field: FieldSpec, norm_cap: int | None = None) -> list[Ideal]:

@@ -317,23 +317,30 @@ def factor_ideal(ideal: Ideal) -> FactoredIdeal:
     return out
 
 
+def _prime_pool(field: FieldSpec, kappa: int) -> list[PrimeIdeal]:
+    """The prime ideals of norm <= kappa, sorted by (norm, a, b), so a
+    walk over them can stop at the first norm too large; the two primes
+    above a split p have the same norm and a, so they stay adjacent."""
+    if kappa < 1:
+        raise DomainError("kappa must be >= 1")
+    pool = [
+        prime
+        for p in primes_upto(kappa)
+        for prime in _primes_above(p, field)
+        if prime.norm <= kappa
+    ]
+    pool.sort(key=lambda pr: pr.ideal.sort_key())
+    return pool
+
+
 def enumerate_ideals_factored(
     field: FieldSpec, kappa: int
 ) -> list[tuple[int, tuple[tuple[PrimeIdeal, int], ...]]]:
     """(norm, prime factorization) of every ideal of norm <= kappa, once
     each and in no set order; no ideal is built.  Each factorization
     ((PrimeIdeal, e), ...) lists its primes by (norm, a, b)."""
-    if kappa < 1:
-        raise DomainError("kappa must be >= 1")
-    prime_pool = [
-        prime
-        for p in primes_upto(kappa)
-        for prime in _primes_above(p, field)
-        if prime.norm <= kappa
-    ]
-    # sorted by norm so the extension loop below can stop early; an
-    # explicit stack keeps the depth independent of the pool size
-    prime_pool.sort(key=lambda pr: pr.ideal.sort_key())
+    prime_pool = _prime_pool(field, kappa)
+    # an explicit stack keeps the depth independent of the pool size
     pool_norms = [prime.norm for prime in prime_pool]
     results: list[tuple[int, tuple[tuple[PrimeIdeal, int], ...]]] = []
     stack: list[tuple[int, int, tuple[tuple[PrimeIdeal, int], ...]]] = [(0, 1, ())]

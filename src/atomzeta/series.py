@@ -14,8 +14,8 @@ from math import e as _E, log
 
 import mpmath
 
-from atomzeta.atoms import _atom_finder
-from atomzeta.classgroup import class_group, class_group_structure, davenport_constant
+from atomzeta.atoms import _atom_finder, _atom_walk
+from atomzeta.classgroup import class_group_structure, davenport_constant
 from atomzeta.errors import DomainError
 from atomzeta.ideals import (
     FactoredIdeal,
@@ -135,12 +135,11 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
     factorization.
 
     Prime ideals and all-atoms have m = 1.  Atoms dividing X come in order
-    of least m in X.  For all-atoms an ideal is kept iff the whole box is
-    its own first atom: the whole box is the largest, so it comes first
-    only if it is the only atom.  That depends only on the box's prime
-    classes with exponents (atoms are the minimal zero-sum sequences of the
-    block monoid over Cl(K)), so it is decided once per sorted (class
-    vector, exponent) signature.
+    of least m in X.  All-atoms on imaginary fields and Q come from the
+    zero-sum-free walk `_atom_walk` (atoms are the minimal zero-sum
+    sequences of the block monoid over Cl(K)).  On real fields an ideal is
+    kept iff the whole box is its own first atom: the whole box is the
+    largest, so it comes first only if it is the only atom.
     """
     if aspec.kind == "prime-ideals":
         for p in primes_upto(kappa):
@@ -148,26 +147,17 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
                 if prime.norm <= kappa:
                     yield prime.norm, 1, ((prime, 1),)
         return
+    if aspec.kind == "all-atoms" and not field.is_real:
+        for norm, parts in _atom_walk(field, kappa):
+            yield norm, 1, parts
+        return
     atoms_of = _atom_finder(field, kappa)
     if aspec.kind == "all-atoms":
-        # real fields have no class vectors yet and decide every ideal, storing
-        # nothing, until reduced-ideal cycles (ROADMAP direction C)
-        vector = None if field.is_real else class_group(field).vector
-        vecs, known = {}, {}  # prime vectors by id, signature memo
+        # real fields have no class vectors yet and decide every ideal until
+        # reduced-ideal cycles (ROADMAP direction C)
         for norm, fac in enumerate_ideals_factored(field, kappa):
-            sig = None
-            if vector:
-                for prime, _ in fac:
-                    if id(prime) not in vecs:  # the walk makes each PrimeIdeal once
-                        vecs[id(prime)] = vector(prime.ideal)
-                sig = tuple(sorted((vecs[id(prime)], e) for prime, e in fac))
-            keep = known.get(sig)
-            if keep is None:
-                # a box with no principal sub-box yields no atom at all
-                keep = next(atoms_of(fac), (0,))[0] == norm
-                if sig is not None:
-                    known[sig] = keep
-            if keep:
+            # a box with no principal sub-box yields no atom at all
+            if next(atoms_of(fac), (0,))[0] == norm:
                 yield norm, 1, fac
         return
     if aspec.kind != "atoms-dividing":
@@ -335,9 +325,10 @@ class CensusTable:
 def atom_census(field: FieldSpec, kappa: int) -> CensusTable:
     if not (field.is_imaginary or field.is_rational):
         raise DomainError("the census experiment is restricted to imaginary fields and Q")
+    # the ratio needs D: a group with no closed form is refused before the walk
+    d_const = davenport_constant(class_group_structure(field))
     norms = Counter(n for n, _, _ in _atom_parts(field, ASetSpec("all-atoms"), kappa))
     counts = tuple(sorted(norms.items()))
-    d_const = davenport_constant(class_group_structure(field))
     return CensusTable(field.label(), kappa, counts, d_const)
 
 

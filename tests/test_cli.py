@@ -441,6 +441,40 @@ def test_census_real_field_refused_before_work():
     assert float(proc.stdout) < 1.0
 
 
+def test_census_unsupported_group_refused_before_work():
+    # Z/2 x Z/2 x Z/2 x Z/6 has no Davenport closed form; the census needs D
+    # for its ratio, so it exits before walking the ideals of norm <= 1e6
+    script = (
+        "import sys, time\n"
+        "from atomzeta.cli import main\n"
+        "t = time.perf_counter()\n"
+        "code = main(['census', '-d', '-2805', '--kappa', '1e6'])\n"
+        "print(time.perf_counter() - t)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60, env=_src_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("atomzeta: error:")
+    assert "Z/2 x Z/2 x Z/2 x Z/6" in proc.stderr
+    assert float(proc.stdout) < 1.0
+
+
+def test_census_rows_agree_across_scales(capsys):
+    # every row n <= 1e5 of the 1e6 census is a row of the 1e5 census
+    def rows(kappa):
+        code, out, _ = run_cli(capsys, "census", "-d", "-5", "--kappa", kappa)
+        assert code == 0
+        return [line for line in out.splitlines() if not line.startswith("#")][1:]
+
+    small = rows("1e5")
+    large = rows("1e6")
+    assert small == [r for r in large if int(r.split(",")[0]) <= 10**5]
+    assert len(large) > len(small)
+
+
 def test_unwritable_output_exit_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     code, out, err = run_cli(

@@ -280,6 +280,15 @@ def test_all_atoms_signature_memo_matches_per_ideal_oracle():
         assert dict(census.counts) == expected, field.label()
 
 
+def test_atom_walk_matches_per_ideal_oracle_on_deeper_groups():
+    # the walk goes D - 1 copies deep: Z/5, Z/7, Z/6 and Z/2 x Z/8 (D = 9)
+    for d in (-47, -71, -26, -221):
+        field = make_field(d)
+        census = atom_census(field, 5000)
+        expected = Counter(all_atoms_per_ideal(field, 5000))
+        assert dict(census.counts) == expected, field.label()
+
+
 def test_atom_census_rejects_real_field():
     with pytest.raises(DomainError):
         atom_census(make_field(2), 50)
