@@ -108,21 +108,22 @@ def factor_into_atoms(e: RingElement) -> AtomFactorization:
 
 def _class_arith(field: FieldSpec):
     """(classes, mul, principal) for the classes of one field's sub-boxes.
-    Imaginary fields and Q use vectors in Cl(K) (class_group): products add
-    them and the principal class is 0; a split prime's conjugate, next to it
-    in a factorization, gets the negated vector.  Real fields use HNFs,
-    ideal_mul and the principality test."""
+    Imaginary fields and Q use vectors in Cl(K) (class_group), read off
+    each prime's (p, b): products add them and the principal class is 0; a
+    split prime's conjugate, next to it in a factorization, gets the
+    negated vector.  Real fields use HNFs, ideal_mul and the principality
+    test."""
     if field.is_real:
         return (lambda primes: [prime.ideal for prime in primes]), ideal_mul, is_principal_class
     group = class_group(field)
+    vector, neg = group.prime_vector, group.neg
 
     def classes(primes):
-        out = []
-        for k, prime in enumerate(primes):
-            if k and primes[k - 1].p == prime.p:  # two primes above p: p splits
-                out.append(group.neg(out[-1]))
-            else:
-                out.append(group.vector(prime.ideal))
+        out, last = [], 0
+        for prime in primes:
+            # the second of two primes above p: p splits into conjugates
+            out.append(neg(out[-1]) if prime.p == last else vector(prime))
+            last = prime.p
         return out
 
     return classes, group.add, lambda c: not any(c)
@@ -145,16 +146,16 @@ def _atom_finder(field: FieldSpec, cap: int):
     classes_of, mul, principal = _class_arith(field)
 
     def atoms(fac):
-        pool = [(prime, e) for prime, e in fac if prime.norm <= cap]
+        pool = [(prime, e, q) for prime, e in fac if (q := prime.norm) <= cap]
         if not pool:
             return
         n = len(pool)
-        classes = classes_of([prime for prime, _ in pool])
+        classes = classes_of([prime for prime, _, _ in pool])
         found = []
         # (exponents, norm, class of the parent box, index grown); each level
         # in increasing exponent order
         level = [
-            ((0,) * i + (1,) + (0,) * (n - 1 - i), pool[i][0].norm, None, i)
+            ((0,) * i + (1,) + (0,) * (n - 1 - i), pool[i][2], None, i)
             for i in reversed(range(n))
         ]
         while level:
@@ -168,11 +169,9 @@ def _atom_finder(field: FieldSpec, cap: int):
                     yield norm, tuple((pool[j][0], kj) for j, kj in enumerate(k) if kj), c
                     continue
                 for j in reversed(range(i, n)):
-                    prime, e = pool[j]
-                    if k[j] < e and norm * prime.norm <= cap:
-                        grown.append(
-                            (k[:j] + (k[j] + 1,) + k[j + 1:], norm * prime.norm, c, j)
-                        )
+                    _, e, q = pool[j]
+                    if k[j] < e and norm * q <= cap:
+                        grown.append((k[:j] + (k[j] + 1,) + k[j + 1:], norm * q, c, j))
             level = grown
 
     return atoms

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from atomzeta.errors import (
     CapExceededError,
@@ -17,7 +18,7 @@ from atomzeta.errors import (
     InternalInvariantError,
     RealFieldError,
 )
-from atomzeta.ideals import Ideal, _primes_above, _xgcd
+from atomzeta.ideals import Ideal, PrimeIdeal, _primes_above, _xgcd
 from atomzeta.ring import (
     FieldSpec,
     RingElement,
@@ -26,8 +27,9 @@ from atomzeta.ring import (
 from atomzeta.sieve import factorint, primes_upto
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(NamedTuple):
+    """a x^2 + b xy + c y^2; equal to, and hashed as, the plain (a, b, c)."""
+
     a: int
     b: int
     c: int
@@ -53,10 +55,8 @@ def principal_form(disc: int) -> QuadForm:
     return QuadForm(1, k, (k * k - disc) // 4)
 
 
-def reduce_form(f: QuadForm) -> QuadForm:
-    if f.disc >= 0:
-        raise RealFieldError("form reduction implemented for negative discriminants")
-    a, b, c = f.a, f.b, f.c
+def _reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The reduction loop on plain integers (a > 0, negative discriminant)."""
     while True:
         if b <= -a or b > a:
             r = (a - b) // (2 * a)  # b + 2ra lands in (-a, a]
@@ -66,8 +66,13 @@ def reduce_form(f: QuadForm) -> QuadForm:
             continue
         if a == c and b < 0:
             b = -b
-        break
-    out = QuadForm(a, b, c)
+        return a, b, c
+
+
+def reduce_form(f: QuadForm) -> QuadForm:
+    if f.disc >= 0:
+        raise RealFieldError("form reduction implemented for negative discriminants")
+    out = QuadForm(*_reduce(*f))
     if not out.is_reduced():
         raise InternalInvariantError("reduction did not terminate in a reduced form")
     return out
@@ -270,6 +275,20 @@ class ClassGroup:
 
     def vector(self, ideal: Ideal) -> tuple[int, ...]:
         return self.coords[ideal_class_form(ideal)] if self.invariants else ()
+
+    def prime_vector(self, prime: PrimeIdeal) -> tuple[int, ...]:
+        """vector(prime.ideal) from (p, b) alone.  An inert prime is (p),
+        principal; <p, b + w> maps to the form (p, B, (B^2 - D)/4p) with
+        B = -(2b + t), t = 1 in the basis w = (1 + sqrt(d))/2 (D odd) and
+        0 otherwise, as in ideal_to_form."""
+        if prime.f == 2 or not self.invariants:
+            return (0,) * len(self.invariants)
+        p, disc = prime.p, self.identity.disc
+        big_b = -(2 * prime.b + (disc & 1))
+        vec = self.coords.get(_reduce(p, big_b, (big_b * big_b - disc) // (4 * p)))
+        if vec is None:
+            raise InternalInvariantError("prime form reduced to no class of the group")
+        return vec
 
     def add(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((x + y) % m for x, y, m in zip(u, v, self.invariants))

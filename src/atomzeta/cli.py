@@ -22,8 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isinf
 
-import mpmath
-
 from atomzeta import __version__
 from atomzeta.atoms import factor_into_atoms, verify_norm_identity
 from atomzeta.classgroup import (
@@ -102,6 +100,8 @@ def default_threads() -> int:
 
 
 def _fmt(x) -> str:
+    import mpmath  # imported on use: only zeta prints mpf values
+
     return mpmath.nstr(x, DIGITS, strip_zeros=False)
 
 

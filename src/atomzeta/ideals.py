@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import attrgetter
+from typing import NamedTuple
 
 from atomzeta.errors import (
     DomainError,
@@ -172,14 +174,23 @@ def kronecker_symbol(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def sqrt_mod_prime(n: int, p: int) -> int:
-    """A square root of n modulo an odd prime p (n must be a residue)."""
+def sqrt_mod_prime(n: int, p: int) -> int | None:
+    """A square root of n modulo an odd prime p, or None when n is not a
+    square mod p.  For p = 3 (mod 4) and p = 5 (mod 8) one pow gives the
+    only candidate r, so r^2 = n decides both; p = 1 (mod 8) takes Euler's
+    criterion and then Tonelli-Shanks."""
     n %= p
     if n == 0:
         return 0
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    # Tonelli-Shanks
+    if p % 4 == 3:  # r^2 = n^((p+1)/2) = n * (n | p)
+        r = pow(n, (p + 1) // 4, p)
+        return r if r * r % p == n else None
+    if p % 8 == 5:  # Atkin: with v = (2n)^((p-5)/8), i = 2nv^2 is a root of -1
+        v = pow(2 * n, (p - 5) // 8, p)
+        r = n * v * (2 * n * v * v - 1) % p
+        return r if r * r % p == n else None
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
@@ -200,16 +211,25 @@ def sqrt_mod_prime(n: int, p: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class PrimeIdeal:
+class PrimeIdeal(NamedTuple):
+    """A prime ideal as plain data: <p, b + w> of degree f = 1, (p) of
+    degree 2 (b = 0), or pZ over Q (b = 0).  The HNF is built on demand."""
+
+    field: FieldSpec
     p: int
     kind: str  # "split" | "inert" | "ramified" | "rational"
-    ideal: Ideal
+    b: int
     f: int  # residue degree
 
     @property
     def norm(self) -> int:
         return self.p**self.f
+
+    @property
+    def ideal(self) -> Ideal:
+        if self.f == 2:
+            return Ideal(self.field, self.p, 0, self.p)
+        return Ideal(self.field, self.p, self.b, 1)
 
 
 def splitting_type(p: int, field: FieldSpec) -> str:
@@ -222,30 +242,32 @@ def primes_above(p: int, field: FieldSpec) -> list[PrimeIdeal]:
     return _primes_above(p, field)
 
 
-_KINDS = {1: "split", -1: "inert", 0: "ramified"}
-
-
 def _primes_above(p: int, field: FieldSpec) -> list[PrimeIdeal]:
     """primes_above for a p already certified prime by a sieve or factorint,
     in order of b.  A prime of degree 1 is <p, b + w> with -b a root of the
     minimal polynomial of w modulo p."""
     if field.is_rational:
-        return [PrimeIdeal(p, "rational", Ideal(field, p, 0, 1), 1)]
-    kind = _KINDS[kronecker_symbol(field.disc, p)]
-    if kind == "inert":
-        return [PrimeIdeal(p, kind, Ideal(field, p, 0, p), 2)]
+        return [PrimeIdeal(field, p, "rational", 0, 1)]
     d = field.d
-    if p == 2:  # split for an odd disc (roots 0, 1), ramified for an even one
-        bs = (0, 1) if field.half_basis else (d % 2,)
-    else:
-        r = sqrt_mod_prime(d, p) if kind == "split" else 0
-        if field.half_basis:  # roots (1 +- r)/2; (p + 1)/2 inverts 2
-            inv2 = (p + 1) // 2
-            bs = ((-1 - r) * inv2 % p, (r - 1) * inv2 % p)
-        else:  # roots +-r
-            bs = (r, -r % p)
-        bs = (bs[0],) if kind == "ramified" else sorted(bs)
-    return [PrimeIdeal(p, kind, Ideal(field, p, b, 1), 1) for b in bs]
+    if p == 2:
+        if field.half_basis:  # d = 1 mod 8: split (roots 0, 1); 5 mod 8: inert
+            if d % 8 == 5:
+                return [PrimeIdeal(field, 2, "inert", 0, 2)]
+            return [PrimeIdeal(field, 2, "split", 0, 1), PrimeIdeal(field, 2, "split", 1, 1)]
+        return [PrimeIdeal(field, 2, "ramified", d % 2, 1)]
+    r = sqrt_mod_prime(d, p)
+    if r is None:
+        return [PrimeIdeal(field, p, "inert", 0, 2)]
+    if field.half_basis:  # roots (1 +- r)/2; (p + 1)/2 inverts 2
+        inv2 = (p + 1) // 2
+        b0, b1 = (-1 - r) * inv2 % p, (r - 1) * inv2 % p
+    else:  # roots +-r
+        b0, b1 = r, -r % p
+    if r == 0:  # p | d: a double root
+        return [PrimeIdeal(field, p, "ramified", b0, 1)]
+    if b0 > b1:
+        b0, b1 = b1, b0
+    return [PrimeIdeal(field, p, "split", b0, 1), PrimeIdeal(field, p, "split", b1, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +307,12 @@ class FactoredIdeal:
 
 def _factor_rational(field: FieldSpec, factors: dict[int, int]) -> list:
     """Prime factorization ((PrimeIdeal, e), ...) of (m), m = prod p^e given
-    as {p: e} with every p certified prime, read off the splitting types:
-    P^e P'^e for a split p, P^e for an inert p and P^2e for a ramified p."""
+    as {p: e} with every p certified prime and in increasing order (as
+    factorint gives them), read off the splitting types: P^e P'^e for a
+    split p, P^e for an inert p and P^2e for a ramified p."""
     return [
         (prime, 2 * e if prime.kind == "ramified" else e)
-        for p, e in sorted(factors.items())
+        for p, e in factors.items()
         for prime in _primes_above(p, field)
     ]
 
@@ -308,9 +331,9 @@ def factor_ideal(ideal: Ideal) -> FactoredIdeal:
     ja, jb = ideal.a // ideal.c, ideal.b // ideal.c
     for p, v in factorint(ja).items():
         for prime in _primes_above(p, f):
-            if prime.ideal.b == jb % p:
+            if prime.b == jb % p:
                 exps[prime] = exps.get(prime, 0) + v
-    factors = sorted(exps.items(), key=lambda t: (t[0].p, t[0].ideal.b))
+    factors = sorted(exps.items(), key=lambda t: (t[0].p, t[0].b))
     out = FactoredIdeal(f, tuple(factors))
     if out.norm() != n:
         raise InternalInvariantError("factorization norm mismatch")
@@ -318,9 +341,10 @@ def factor_ideal(ideal: Ideal) -> FactoredIdeal:
 
 
 def _prime_pool(field: FieldSpec, kappa: int) -> list[PrimeIdeal]:
-    """The prime ideals of norm <= kappa, sorted by (norm, a, b), so a
-    walk over them can stop at the first norm too large; the two primes
-    above a split p have the same norm and a, so they stay adjacent."""
+    """The prime ideals of norm <= kappa, sorted by norm and then (p, b),
+    so a walk over them can stop at the first norm too large.  Only the two
+    primes above a split p share a norm; the stable sort keeps them
+    adjacent, in order of b."""
     if kappa < 1:
         raise DomainError("kappa must be >= 1")
     pool = [
@@ -329,7 +353,7 @@ def _prime_pool(field: FieldSpec, kappa: int) -> list[PrimeIdeal]:
         for prime in _primes_above(p, field)
         if prime.norm <= kappa
     ]
-    pool.sort(key=lambda pr: pr.ideal.sort_key())
+    pool.sort(key=attrgetter("norm"))
     return pool
 
 

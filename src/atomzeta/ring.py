@@ -30,9 +30,13 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factorint(n).values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldSpec:
-    """A quadratic field Q(sqrt(d)), or Q itself when d is None."""
+    """A quadratic field Q(sqrt(d)), or Q itself when d is None.
+
+    Interned: make_field and rational_field are the only constructors and
+    both are cached, so one field is one object, and equality and hashing
+    are by identity."""
 
     d: int | None
     degree: int

@@ -11,12 +11,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import e as _E, log
+from typing import TYPE_CHECKING
 
-import mpmath
-
-from atomzeta.atoms import _atom_finder, _atom_walk
+from atomzeta.atoms import _atom_finder, _atom_walk, _class_arith
 from atomzeta.classgroup import class_group_structure, davenport_constant
-from atomzeta.errors import DomainError
+from atomzeta.errors import CapExceededError, DomainError
 from atomzeta.ideals import (
     FactoredIdeal,
     Ideal,
@@ -25,7 +24,10 @@ from atomzeta.ideals import (
     enumerate_ideals_factored,
 )
 from atomzeta.ring import FieldSpec
-from atomzeta.sieve import factorint, primes_upto
+from atomzeta.sieve import SIEVE_LIMIT, factorint, primes_upto
+
+if TYPE_CHECKING:
+    import mpmath
 
 DEFAULT_PREC_BITS = 100
 MIN_PREC_BITS = 80  # the library clamps below this; the CLI refuses
@@ -46,12 +48,20 @@ class XSetSpec:
     path: str = ""
 
     def members_upto(self, kappa: int) -> list[int]:
+        """The members <= kappa, ascending.  A kind that lists a range (all,
+        ap; primes through the sieve) refuses kappa > SIEVE_LIMIT with
+        CapExceededError before anything is allocated."""
+        if self.kind in ("all", "ap") and kappa > SIEVE_LIMIT:
+            raise CapExceededError(
+                f"listing {self.label()} up to {kappa} exceeds the sieve limit {SIEVE_LIMIT}"
+            )
         if self.kind == "all":
             return list(range(1, kappa + 1))
         if self.kind == "primes":
             return primes_upto(kappa)
         if self.kind == "ap":
-            start = self.a if self.a >= 1 else self.a + ((1 - self.a) // self.q + 1) * self.q
+            # the least a + k*q >= 1: k = max(0, ceil((1 - a) / q))
+            start = self.a - min(0, (self.a - 1) // self.q) * self.q
             return list(range(start, kappa + 1, self.q))
         if self.kind == "list":
             return sorted(v for v in set(self.values) if 1 <= v <= kappa)
@@ -135,11 +145,12 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
     factorization.
 
     Prime ideals and all-atoms have m = 1.  Atoms dividing X come in order
-    of least m in X.  All-atoms on imaginary fields and Q come from the
-    zero-sum-free walk `_atom_walk` (atoms are the minimal zero-sum
-    sequences of the block monoid over Cl(K)).  On real fields an ideal is
-    kept iff the whole box is its own first atom: the whole box is the
-    largest, so it comes first only if it is the only atom.
+    of least m in X: read off the splitting of m when X is the primes, else
+    from the finder `_atom_finder`.  All-atoms on imaginary fields and Q
+    come from the zero-sum-free walk `_atom_walk` (atoms are the minimal
+    zero-sum sequences of the block monoid over Cl(K)).  On real fields an
+    ideal is kept iff the whole box is its own first atom: the whole box is
+    the largest, so it comes first only if it is the only atom.
     """
     if aspec.kind == "prime-ideals":
         for p in primes_upto(kappa):
@@ -150,6 +161,23 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
     if aspec.kind == "all-atoms" and not field.is_real:
         for norm, parts in _atom_walk(field, kappa):
             yield norm, 1, parts
+        return
+    if aspec.kind == "atoms-dividing" and aspec.xset.kind == "primes":
+        # (m) is P P', P^2 or P itself, and a conjugate has the inverse class:
+        # the atoms dividing m are the primes above m if they are principal,
+        # else (m)
+        classes_of, _, principal = _class_arith(field)
+        for m in primes_upto(kappa):
+            primes = _primes_above(m, field)
+            if primes[0].norm > kappa:  # inert, of norm m^2
+                continue
+            if principal(classes_of(primes[:1])[0]):
+                for prime in primes:
+                    yield prime.norm, m, ((prime, 1),)
+            elif m * m <= kappa:
+                yield m * m, m, tuple(
+                    (prime, 2 if prime.kind == "ramified" else 1) for prime in primes
+                )
         return
     atoms_of = _atom_finder(field, kappa)
     if aspec.kind == "all-atoms":
@@ -162,19 +190,14 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
         return
     if aspec.kind != "atoms-dividing":
         raise DomainError(f"unknown ideal-set kind {aspec.kind!r}")
-    sieved = aspec.xset.kind == "primes"
     seen = set()
     for m in aspec.xset.members_upto(kappa):
         if m < 2:
             continue
-        fac = _factor_rational(field, {m: 1} if sieved else factorint(m))
-        for norm, parts, _ in atoms_of(fac):
-            if not sieved:  # atoms dividing distinct primes are distinct
-                key = tuple(x for prime, k in parts for x in (prime.p, prime.ideal.b, k))
-                if key in seen:
-                    continue
-                seen.add(key)
-            yield norm, m, parts
+        for norm, parts, _ in atoms_of(_factor_rational(field, factorint(m))):
+            if parts not in seen:
+                seen.add(parts)
+                yield norm, m, parts
 
 
 def build_ideal_set(field: FieldSpec, aspec: ASetSpec, kappa: int) -> list[Ideal]:
@@ -212,6 +235,8 @@ def zeta_partial(
 
 
 def _norm_sum(norms: list[int], s: Fraction, prec_bits: int) -> tuple[mpmath.mpf, int]:
+    import mpmath
+
     count = len(norms)
     with mpmath.workprec(max(prec_bits, MIN_PREC_BITS)):
         if s == 0:
@@ -282,6 +307,8 @@ def euler_primes_sum(x: int, prec_bits: int = DEFAULT_PREC_BITS) -> mpmath.mpf:
     floor(2^K / p) with K = prec + 64 guard bits, rounded to an mpf once.
     Each floor loses less than 2^-K and pi(SIEVE_LIMIT) < 2^23 terms, so
     the truncation stays below 2^-(prec + 40)."""
+    import mpmath
+
     if x < 2:
         raise DomainError("x must be >= 2")
     prec = max(prec_bits, MIN_PREC_BITS)

@@ -241,6 +241,19 @@ def test_conjugate_prime_vectors_cancel():
         assert split > 50
 
 
+def test_prime_vectors_match_hnf_form_path():
+    # the (p, b) path against vector(prime.ideal): HNF -> form -> reduce_form
+    for d in (-1, -3, -5, -14, -23, -221, -1155):
+        f = make_field(d)
+        group = class_group(f)
+        kinds = set()
+        for p in primes_trial(3000):
+            for prime in primes_above(p, f):
+                kinds.add(prime.kind)
+                assert group.prime_vector(prime) == group.vector(prime.ideal), (d, p, prime.b)
+        assert kinds == {"split", "inert", "ramified"}, d
+
+
 def test_abelian_group_spec_validation():
     AbelianGroupSpec((2, 4))
     with pytest.raises(Exception):

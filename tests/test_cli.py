@@ -45,6 +45,23 @@ def test_cli_import_loads_neither_sympy_nor_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_and_factor_load_no_mpmath():
+    # mpmath is imported only where zeta sums and prints mpf values
+    script = (
+        "import sys, atomzeta.cli\n"
+        "from atomzeta.atoms import factor_into_atoms\n"
+        "from atomzeta.ring import make_field\n"
+        "print(factor_into_atoms(make_field(-5).element(6)))\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=20, env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_ring_large_rank_two_group_subprocess():
     # Z/2 x Z/22 (order 44) must take the rank-2 closed form to beat the timeout
     proc = subprocess.run(
@@ -361,6 +378,21 @@ def test_kappa_above_sieve_limit_exit_2(capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 2 and not out
         assert "sieve limit 100000000" in err
+
+
+def test_range_xsets_refuse_kappa_above_sieve_limit(capsys):
+    # atoms-dividing:all and ap: list every m <= kappa; they exit 2 before
+    # allocating, where a list of 10^8 + 1 ints would take about 4 GB
+    for xset in ("all", "ap:1,2"):
+        for kappa in ("100000001", "1e15"):
+            start = time.perf_counter()
+            code, out, err = run_cli(
+                capsys, "zeta", "-d", "-5", "--aset", f"atoms-dividing:{xset}",
+                "--s", "1", "--kappa", kappa,
+            )
+            assert time.perf_counter() - start < 1.0, (xset, kappa)
+            assert code == 2 and not out, (xset, kappa)
+            assert "sieve limit 100000000" in err, (xset, kappa)
 
 
 def test_kappa_parsed_exactly():

@@ -30,6 +30,8 @@ def test_make_field_examples():
     assert F1.disc == -4 and not F1.half_basis
     assert F3.disc == -3 and F3.half_basis
     assert make_field(13).disc == 13 and make_field(13).half_basis
+    # interned: one object per field, so equality and hashing are by identity
+    assert make_field(-5) is F5 and make_field(2) is F2 and F5 != F1
     with pytest.raises(NotSquarefreeError):
         make_field(12)
     for d in (0, 1):
@@ -39,6 +41,7 @@ def test_make_field_examples():
 
 def test_rational_field_degenerate():
     q = rational_field()
+    assert rational_field() is q and q != F1
     assert q.degree == 1 and q.disc == 1
     assert q.element(7).norm() == 7
     assert q.element(-1).is_unit()

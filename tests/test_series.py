@@ -38,6 +38,9 @@ def test_parse_xset_examples():
     assert parse_xset("primes").members_upto(12) == [2, 3, 5, 7, 11]
     assert parse_xset("ap:3,4").members_upto(20) == [3, 7, 11, 15, 19]
     assert parse_xset("ap:-5,4").members_upto(12) == [3, 7, 11]
+    # q | 1 - a: the progression starts at 1, like ap:1,q and all
+    assert parse_xset("ap:-2,3").members_upto(10) == [1, 4, 7, 10]
+    assert parse_xset("ap:0,1").members_upto(3) == [1, 2, 3]
     assert parse_xset("list:9,2,2,30").members_upto(10) == [2, 9]
     for bad in ("ap:3", "ap:1,0", "list:a,b", "gibberish"):
         with pytest.raises(DomainError):
@@ -178,6 +181,18 @@ def test_divergence_table_counts_match_element_scan_oracle():
                             if abs(a.norm()) <= row.kappa
                         )
                 assert row.count == len(atoms), (d, x, row.kappa)
+
+
+def test_atoms_dividing_primes_match_finder():
+    # atoms dividing a prime are read off its splitting; the finder, which
+    # searches the sub-boxes of (p), is the reference.  The fields cover
+    # principal and non-principal split and ramified primes, inert primes
+    # of norm <= kappa, h > 1 in real fields (10, 79) and Q
+    kappa = 2000
+    for f in [make_field(d) for d in (-1, -3, -5, -14, -23, -221, 2, 10, 79)] + [Q]:
+        want = {i for p in primes_upto(kappa) for i in atom_ideals_dividing(p, f, kappa)}
+        got = build_ideal_set(f, parse_aset("atoms-dividing:primes"), kappa)
+        assert got == sorted(want, key=lambda i: i.sort_key()), f.label()
 
 
 def test_divergence_table_truncates_x_by_least_m():
