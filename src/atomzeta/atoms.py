@@ -9,9 +9,11 @@ the prime-ideal factorization of (e) has principal product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le
+from functools import cache, lru_cache
+from operator import attrgetter, itemgetter
 
 from atomzeta.errors import (
+    CapExceededError,
     InternalInvariantError,
     UnitElementError,
     ZeroElementError,
@@ -20,7 +22,6 @@ from atomzeta.ideals import (
     FactoredIdeal,
     Ideal,
     _factor_rational,
-    _prime_pool,
     factor_ideal,
     ideal_mul,
     principal_ideal,
@@ -32,7 +33,7 @@ from atomzeta.ring import (
     exact_div,
 )
 from atomzeta.sieve import factorint, isprime
-from atomzeta.classgroup import class_group, is_principal, is_principal_class
+from atomzeta.classgroup import _inverse_reduced, class_group, is_principal, is_principal_class
 
 
 def is_atom(e: RingElement) -> bool:
@@ -45,8 +46,8 @@ def is_atom(e: RingElement) -> bool:
     if isprime(n):
         return True  # single prime ideal, no proper sub-multiset
     fac = factor_ideal(principal_ideal(e)).factors
-    # the whole box is the largest, so it comes first only if it is the only atom
-    return next(_atom_finder(e.field, n)(fac))[0] == n
+    # (e) is principal, so it holds an atom; if it is one, it holds no other
+    return next(_atom_walk(e.field, fac, n))[0] == n
 
 
 @dataclass(frozen=True)
@@ -73,48 +74,72 @@ def factor_into_atoms(e: RingElement) -> AtomFactorization:
     Repeatedly extracts a generator of the least principal sub-product of
     the remaining prime-ideal multiset by (size, exponent vector); it has
     no principal proper sub-product, which makes the generator an atom.
+    The atoms of a sub-box are the atoms of the whole box that fit in it,
+    so one walk lists every candidate: in that order, each atom is taken
+    as often as it fits in what remains.
     """
     if e.is_zero():
         raise ZeroElementError("zero has no atom factorization")
     if e.is_unit():
         raise UnitElementError("units have no atom factorization")
     field = e.field
-    atoms_of = _atom_finder(field, abs(e.norm()))
-    remaining = factor_ideal(principal_ideal(e)).factors
-    atoms: list[RingElement] = []
-    while remaining:
-        _, parts, c = next(atoms_of(remaining), (None, None, None))
-        if parts is None:
-            raise InternalInvariantError("no principal sub-product found")
-        box = c if field.is_real else FactoredIdeal(field, parts).unfactor()
-        ok, gen = is_principal(box)
+    fac = factor_ideal(principal_ideal(e)).factors
+    remaining = dict(fac)
+
+    def order(atom):  # (size, exponent vector in the order of fac)
+        k = dict(atom[1])
+        vec = [k.get(prime, 0) for prime in remaining]
+        return sum(vec), vec
+
+    grouped: dict[RingElement, int] = {}
+    for _, parts in sorted(_atom_walk(field, fac, abs(e.norm())), key=order):
+        times = min(remaining[prime] // k for prime, k in parts)
+        if not times:
+            continue
+        ok, gen = is_principal(FactoredIdeal(field, parts).unfactor())
         if not ok:
             raise InternalInvariantError("atom sub-product has no generator")
-        atoms.append(canonical_associate(gen))
-        taken = dict(parts)
-        remaining = [(p, v - taken.get(p, 0)) for p, v in remaining if v > taken.get(p, 0)]
-    prod_elem = e.field.one
-    for a in atoms:
-        prod_elem = prod_elem * a
-    unit = exact_div(e, prod_elem)
+        grouped[canonical_associate(gen)] = times
+        for prime, k in parts:
+            remaining[prime] -= times * k
+    if any(remaining.values()):
+        raise InternalInvariantError("no principal sub-product found")
+    ordered = sorted(grouped.items(), key=lambda t: (abs(t[0].norm()), t[0].x, t[0].y))
+    unit = exact_div(e, AtomFactorization(field.one, tuple(ordered)).value())
     if unit is None or not unit.is_unit():
         raise InternalInvariantError("leftover after atom extraction is not a unit")
-    grouped: dict[RingElement, int] = {}
-    for a in atoms:
-        grouped[a] = grouped.get(a, 0) + 1
-    ordered = sorted(grouped.items(), key=lambda t: (abs(t[0].norm()), t[0].x, t[0].y))
     return AtomFactorization(unit, tuple(ordered))
 
 
+@lru_cache(maxsize=None)
 def _class_arith(field: FieldSpec):
-    """(classes, mul, principal) for the classes of one field's sub-boxes.
-    Imaginary fields and Q use vectors in Cl(K) (class_group), read off
-    each prime's (p, b): products add them and the principal class is 0; a
-    split prime's conjugate, next to it in a factorization, gets the
-    negated vector.  Real fields use HNFs, ideal_mul and the principality
-    test."""
+    """(classes, add, principal, key, zero_sum) for the ideal classes of one
+    field: classes(primes) lists a box's prime classes, add is the group
+    law, and for k = key(g), zero_sum(S, k) is the c in S with c + g = 0
+    (the first by norm), or None.
+
+    Imaginary fields and Q use vectors in Cl(K) read off each prime's
+    (p, b); a split prime's conjugate, next to it in a box, gets the negated
+    vector, and k = -g.  Real fields use the product ideals, k = g, and test
+    only sub-boxes of the box walked, so never a norm beyond its cap; a
+    test whose generator scan passes the cap is decided on a small ideal of
+    the inverse class instead."""
     if field.is_real:
-        return (lambda primes: [prime.ideal for prime in primes]), ideal_mul, is_principal_class
+
+        @cache  # a scan past the cap raises again on every call
+        def principal(ideal: Ideal) -> bool:
+            try:
+                return is_principal_class(ideal)
+            except CapExceededError:
+                return is_principal_class(_inverse_reduced(ideal))
+
+        mul = lru_cache(maxsize=1024)(ideal_mul)  # a test and its next node share products
+
+        def zero_sum(sums, prime_ideal):
+            by_norm = sorted(sums, key=attrgetter("norm"))
+            return next((c for c in by_norm if principal(mul(c, prime_ideal))), None)
+
+        return (lambda primes: [prime.ideal for prime in primes]), mul, principal, (lambda g: g), zero_sum
     group = class_group(field)
     vector, neg = group.prime_vector, group.neg
 
@@ -126,98 +151,57 @@ def _class_arith(field: FieldSpec):
             last = prime.p
         return out
 
-    return classes, group.add, lambda c: not any(c)
+    return classes, group.add, (lambda c: not any(c)), neg, lambda sums, k: k if k in sums else None
 
 
-def _atom_finder(field: FieldSpec, cap: int):
-    """atoms(fac) yields the atoms dividing the ideal with prime factorization
-    fac = ((PrimeIdeal, e), ...) whose ideals have norm <= cap, as
-    (norm, parts, c) in order of (size, exponent vector): parts is
-    ((PrimeIdeal, k), ...) with every k >= 1, and c is the sub-box's class,
-    its HNF for real fields (a zero vector otherwise).
+def _atom_walk(field: FieldSpec, fac, cap: int):
+    """(norm, parts) for every atom of norm <= cap that divides the box
+    fac = ((PrimeIdeal, e), ...), once each and in no set order; parts =
+    ((PrimeIdeal, k), ...) lists its primes by norm, and in the order of
+    fac among equal norms.
 
-    Sub-boxes grow one prime at a time, each at or after the index it last
-    grew at, so each is made once.  A sub-box is principal iff the product
-    of its prime classes is trivial.  An atom is a principal sub-box with no
-    principal proper sub-box; those are smaller, so they are found first,
-    and a sub-box holding one is neither tested nor grown.  Proper sub-boxes
-    have smaller norm, so the cap never hides one.
-    """
-    classes_of, mul, principal = _class_arith(field)
-
-    def atoms(fac):
-        pool = [(prime, e, q) for prime, e in fac if (q := prime.norm) <= cap]
-        if not pool:
-            return
-        n = len(pool)
-        classes = classes_of([prime for prime, _, _ in pool])
-        found = []
-        # (exponents, norm, class of the parent box, index grown); each level
-        # in increasing exponent order
-        level = [
-            ((0,) * i + (1,) + (0,) * (n - 1 - i), pool[i][2], None, i)
-            for i in reversed(range(n))
-        ]
-        while level:
-            grown = []
-            for k, norm, c, i in level:
-                if found and any(all(map(le, a, k)) for a in found):
-                    continue
-                c = classes[i] if c is None else mul(c, classes[i])
-                if principal(c):
-                    found.append(k)
-                    yield norm, tuple((pool[j][0], kj) for j, kj in enumerate(k) if kj), c
-                    continue
-                for j in reversed(range(i, n)):
-                    _, e, q = pool[j]
-                    if k[j] < e and norm * q <= cap:
-                        grown.append((k[:j] + (k[j] + 1,) + k[j + 1:], norm * q, c, j))
-            level = grown
-
-    return atoms
-
-
-def _atom_walk(field: FieldSpec, kappa: int):
-    """(norm, parts) for every atom ideal of norm <= kappa of an imaginary
-    field or Q, once each and in no set order; parts = ((PrimeIdeal, k), ...)
-    lists its primes by (norm, a, b).
-
-    An atom is a box of primes whose classes sum to 0 in Cl(K) while no
+    An atom is a sub-box whose prime classes sum to 0 in Cl(K) while no
     proper nonempty sub-box does, so removing one copy of its last prime
     leaves a zero-sum-free box: one with no principal nonempty sub-box.
     A principal prime is an atom on its own and lies in no zero-sum-free
     box.  The other primes are walked depth first, one copy at a time,
     through the zero-sum-free boxes only, each node keeping its class t and
-    the set S of the classes of its nonempty sub-boxes (at most h - 1).
-    One more copy of a prime of class g gives an atom if t = -g, a box
-    with a principal proper sub-box (pruned with every higher exponent) if
-    -g is in S, and otherwise the zero-sum-free box with S | (S + g) | {g}.
+    the set S of the classes of its nonempty sub-boxes (at most h - 1
+    vectors; on a real field one product ideal per sub-box).  One more copy
+    of a prime of class g gives an atom if t + g = 0, a box with a
+    principal proper sub-box (pruned with every higher exponent) if c + g
+    = 0 for another c in S, and otherwise the zero-sum-free box with
+    S | (S + g) | {g}.  If t + g = 0, no other c in S has c + g = 0, for
+    then the sub-box that c leaves out would be principal.
+    The primes are sorted by norm, so a walk can stop at the first norm
+    too large; the stable sort keeps a split prime next to its conjugate.
     """
-    pool = _prime_pool(field, kappa)
-    classes_of, add, principal = _class_arith(field)
-    neg = class_group(field).neg
+    by_norm = [(q, prime, top) for prime, top in fac if (q := prime.norm) <= cap]
+    by_norm.sort(key=itemgetter(0))
+    classes_of, add, principal, key, zero_sum = _class_arith(field)
     walk = []
-    for prime, g in zip(pool, classes_of(pool)):
+    for (q, prime, top), g in zip(by_norm, classes_of([prime for _, prime, _ in by_norm])):
         if principal(g):
-            yield prime.norm, ((prime, 1),)
+            yield q, ((prime, 1),)
         else:
-            walk.append((prime, prime.norm, g, neg(g)))
+            walk.append((prime, q, top, g, key(g)))
+    del by_norm  # the walk list holds every prime it needs
     # (next index into walk, norm, parts, class, sub-box classes)
     stack = [(0, 1, (), None, frozenset())]
     while stack:
         i, norm, parts, t, sums = stack.pop()
         for j in range(i, len(walk)):
-            prime, q, g, minus_g = walk[j]
+            prime, q, top, g, k = walk[j]
             n2, e = norm * q, 1
-            if n2 > kappa:
+            if n2 > cap:
                 break
             s, sub = t, sums
-            while n2 <= kappa:
+            while n2 <= cap and e <= top:
                 box = parts + ((prime, e),)
-                if s == minus_g:
-                    yield n2, box
-                    break
-                if minus_g in sub:
+                hit = zero_sum(sub, k)
+                if hit is not None:
+                    if hit == s:
+                        yield n2, box
                     break
                 s = g if s is None else add(s, g)
                 sub = sub.union([add(c, g) for c in sub], (g,))
@@ -230,9 +214,9 @@ def atom_ideals_dividing(m: int, field: FieldSpec, norm_cap: int | None = None) 
     """Principal divisor ideals of (m) whose generators are atoms."""
     if m < 1:
         raise ZeroElementError("m must be a positive integer")
-    atoms_of = _atom_finder(field, m * m if norm_cap is None else norm_cap)
     fac = _factor_rational(field, factorint(m))
-    out = [FactoredIdeal(field, parts).unfactor() for _, parts, _ in atoms_of(fac)]
+    cap = m * m if norm_cap is None else norm_cap
+    out = [FactoredIdeal(field, parts).unfactor() for _, parts in _atom_walk(field, fac, cap)]
     return sorted(out, key=lambda i: i.sort_key())
 
 

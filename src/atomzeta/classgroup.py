@@ -18,7 +18,7 @@ from atomzeta.errors import (
     InternalInvariantError,
     RealFieldError,
 )
-from atomzeta.ideals import Ideal, PrimeIdeal, _primes_above, _xgcd
+from atomzeta.ideals import Ideal, PrimeIdeal, _primes_above, _xgcd, ideal_from_elements
 from atomzeta.ring import (
     FieldSpec,
     RingElement,
@@ -227,6 +227,25 @@ def is_principal_class(ideal: Ideal) -> bool:
     if field.is_imaginary:
         return ideal_class_form(ideal) == class_group(field).identity
     return is_principal(ideal)[0]
+
+
+def _inverse_reduced(ideal: Ideal) -> Ideal:
+    """An ideal K of a real field in the class of I^-1 with N(K) <= sqrt(D/3),
+    so I is principal iff K is: (alpha) = I K for a shortest alpha of I under
+    sigma1^2 + sigma2^2 = Tr(alpha^2), found by Lagrange reduction; K is
+    (alpha) conj(I) / N(I), and Hermite's bound gives its norm bound."""
+    field, n = ideal.field, ideal.norm
+    u, v = ideal.generators()
+    if (u * u).trace() > (v * v).trace():
+        u, v = v, u
+    while True:
+        q = (u * u).trace()
+        v = v - field.element((2 * (u * v).trace() + q) // (2 * q)) * u
+        if (v * v).trace() >= q:
+            break
+        u, v = v, u
+    gens = [u * g.conj() for g in ideal.generators()]
+    return ideal_from_elements(field, [field.element(g.x // n, g.y // n) for g in gens])
 
 
 # ---------------------------------------------------------------------------

@@ -281,13 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("-d", required=True, help="squarefree d, or Q for the rationals")
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted and validated; changes neither output nor "
+                            "speed (default ATOMZETA_THREADS or 1)")
+
+    def table(p):
+        common(p)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
         p.add_argument("--prec", type=int, default=DEFAULT_PREC_BITS,
                        help=f"mantissa precision in bits (>= {MIN_PREC_BITS})")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted and validated; changes neither output nor "
-                            "speed (default ATOMZETA_THREADS or 1)")
 
     p_ring = sub.add_parser("ring", help="field invariants and class data")
     common(p_ring)
@@ -298,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                                           "put -- before a token that starts with -")
 
     p_zeta = sub.add_parser("zeta", help="restricted zeta partial sums")
-    common(p_zeta)
+    table(p_zeta)
     p_zeta.add_argument("--aset", required=True,
                         help="all-atoms | prime-ideals | atoms-dividing-primes | "
                              "atoms-dividing:{all|primes|ap:a,q|list:..|file:PATH}")
@@ -307,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated increasing grid, e.g. 1e2,1e3,1e4")
 
     p_census = sub.add_parser("census", help="atom census and asymptotic ratios")
-    common(p_census)
+    table(p_census)
     p_census.add_argument("--kappa", required=True, help="norm cutoff, e.g. 1e4")
     return ap
 
@@ -325,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
             args.threads = default_threads()
         if args.threads < 1:
             raise DomainError(f"--threads/ATOMZETA_THREADS must be >= 1, not {args.threads}")
-        if args.prec < MIN_PREC_BITS:
+        if "prec" in args and args.prec < MIN_PREC_BITS:
             raise DomainError(f"--prec must be >= {MIN_PREC_BITS} bits, not {args.prec}")
         if args.command == "ring":
             return cmd_ring(args)

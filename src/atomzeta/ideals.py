@@ -148,14 +148,13 @@ def ideal_mul(i1: Ideal, i2: Ideal) -> Ideal:
 
 
 def ideal_pow(ideal: Ideal, n: int) -> Ideal:
-    r = unit_ideal(ideal.field)
-    b = ideal
+    r, b = None, ideal  # r is None for the unit ideal, never multiplied
     while n:
         if n & 1:
-            r = ideal_mul(r, b)
+            r = b if r is None else ideal_mul(r, b)
         b = ideal_mul(b, b) if n > 1 else b
         n >>= 1
-    return r
+    return unit_ideal(ideal.field) if r is None else r
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +292,11 @@ class FactoredIdeal:
             (prime, k), (other, j) = self.factors
             if prime.p == other.p and k == j == 1:
                 return Ideal(f, prime.p, 0, prime.p)
-        out = unit_ideal(f)
+        out = None
         for prime, k in self.factors:
-            out = ideal_mul(out, ideal_pow(prime.ideal, k))
-        return out
+            power = ideal_pow(prime.ideal, k)
+            out = power if out is None else ideal_mul(out, power)
+        return unit_ideal(f) if out is None else out
 
     def norm(self) -> int:
         n = 1

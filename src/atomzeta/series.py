@@ -10,18 +10,19 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import e as _E, log
 from typing import TYPE_CHECKING
 
-from atomzeta.atoms import _atom_finder, _atom_walk, _class_arith
+from atomzeta.atoms import _atom_walk, _class_arith
 from atomzeta.classgroup import class_group_structure, davenport_constant
 from atomzeta.errors import CapExceededError, DomainError
 from atomzeta.ideals import (
     FactoredIdeal,
     Ideal,
     _factor_rational,
+    _prime_pool,
     _primes_above,
-    enumerate_ideals_factored,
 )
 from atomzeta.ring import FieldSpec
 from atomzeta.sieve import SIEVE_LIMIT, factorint, primes_upto
@@ -146,27 +147,27 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
 
     Prime ideals and all-atoms have m = 1.  Atoms dividing X come in order
     of least m in X: read off the splitting of m when X is the primes, else
-    from the finder `_atom_finder`.  All-atoms on imaginary fields and Q
-    come from the zero-sum-free walk `_atom_walk` (atoms are the minimal
-    zero-sum sequences of the block monoid over Cl(K)).  On real fields an
-    ideal is kept iff the whole box is its own first atom: the whole box is
-    the largest, so it comes first only if it is the only atom.
+    from the zero-sum-free walk `_atom_walk` over the box of (m).  All-atoms
+    come from the same walk over every prime ideal of norm <= kappa (atoms
+    are the minimal zero-sum sequences of the block monoid over Cl(K)).
     """
     if aspec.kind == "prime-ideals":
-        for p in primes_upto(kappa):
-            for prime in _primes_above(p, field):
-                if prime.norm <= kappa:
-                    yield prime.norm, 1, ((prime, 1),)
+        for prime in _prime_pool(field, kappa):
+            yield prime.norm, 1, ((prime, 1),)
         return
-    if aspec.kind == "all-atoms" and not field.is_real:
-        for norm, parts in _atom_walk(field, kappa):
+    if aspec.kind == "all-atoms":
+        # the norm cap bounds every exponent
+        pool = zip(_prime_pool(field, kappa), repeat(kappa))
+        for norm, parts in _atom_walk(field, pool, kappa):
             yield norm, 1, parts
         return
-    if aspec.kind == "atoms-dividing" and aspec.xset.kind == "primes":
+    if aspec.kind != "atoms-dividing":
+        raise DomainError(f"unknown ideal-set kind {aspec.kind!r}")
+    if aspec.xset.kind == "primes":
         # (m) is P P', P^2 or P itself, and a conjugate has the inverse class:
         # the atoms dividing m are the primes above m if they are principal,
         # else (m)
-        classes_of, _, principal = _class_arith(field)
+        classes_of, _, principal, *_ = _class_arith(field)
         for m in primes_upto(kappa):
             primes = _primes_above(m, field)
             if primes[0].norm > kappa:  # inert, of norm m^2
@@ -179,22 +180,11 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
                     (prime, 2 if prime.kind == "ramified" else 1) for prime in primes
                 )
         return
-    atoms_of = _atom_finder(field, kappa)
-    if aspec.kind == "all-atoms":
-        # real fields have no class vectors yet and decide every ideal until
-        # reduced-ideal cycles (ROADMAP direction C)
-        for norm, fac in enumerate_ideals_factored(field, kappa):
-            # a box with no principal sub-box yields no atom at all
-            if next(atoms_of(fac), (0,))[0] == norm:
-                yield norm, 1, fac
-        return
-    if aspec.kind != "atoms-dividing":
-        raise DomainError(f"unknown ideal-set kind {aspec.kind!r}")
     seen = set()
     for m in aspec.xset.members_upto(kappa):
         if m < 2:
             continue
-        for norm, parts, _ in atoms_of(_factor_rational(field, factorint(m))):
+        for norm, parts in _atom_walk(field, _factor_rational(field, factorint(m)), kappa):
             if parts not in seen:
                 seen.add(parts)
                 yield norm, m, parts

@@ -6,7 +6,7 @@ sqrt(d) and an mpmath cube root, irreducibility from a divisor-class
 scan, ideal enumeration from a raw HNF triple scan, prime ideals from a
 scan of every b mod p, class groups from counting f^(p^k) = 1 over every
 reduced form, atom factorizations from a scan of every sub-product in
-order, Davenport constants from a subset-sum search over tuples, the
+order, atom sets from a level-by-level sub-box search, Davenport constants from a subset-sum search over tuples, the
 Euler sum from a term-by-term mpmath loop, primes from trial division,
 factorizations and primality from sympy, and so on.
 """
@@ -418,11 +418,85 @@ def factor_scan(e: RingElement):
     return AtomFactorization(exact_div(e, prod), tuple(ordered))
 
 
+def _finder_class_arith(field: FieldSpec):
+    """(classes, mul, principal) for the classes of one field's sub-boxes,
+    independent of the library's walk.  Imaginary fields and Q use vectors
+    in Cl(K) (class_group), read off each prime's (p, b): products add them
+    and the principal class is 0; a split prime's conjugate, next to it in
+    a factorization, gets the negated vector.  Real fields use HNFs,
+    ideal_mul and the principality test."""
+    from atomzeta.classgroup import class_group, is_principal_class
+    from atomzeta.ideals import ideal_mul
+
+    if field.is_real:
+        return (lambda primes: [prime.ideal for prime in primes]), ideal_mul, is_principal_class
+    group = class_group(field)
+    vector, neg = group.prime_vector, group.neg
+
+    def classes(primes):
+        out, last = [], 0
+        for prime in primes:
+            out.append(neg(out[-1]) if prime.p == last else vector(prime))
+            last = prime.p
+        return out
+
+    return classes, group.add, lambda c: not any(c)
+
+
+def _atom_finder(field: FieldSpec, cap: int):
+    """atoms(fac) yields the atoms dividing the ideal with prime factorization
+    fac = ((PrimeIdeal, e), ...) whose ideals have norm <= cap, as
+    (norm, parts) in order of (size, exponent vector): parts is
+    ((PrimeIdeal, k), ...) with every k >= 1.
+
+    Sub-boxes grow level by level, one prime at a time, each at or after
+    the index it last grew at, so each is made once.  A sub-box is
+    principal iff the product of its prime classes is trivial.  An atom is
+    a principal sub-box with no principal proper sub-box; those are
+    smaller, so they are found first, and a sub-box holding one is neither
+    tested nor grown.
+    """
+    from operator import le
+
+    classes_of, mul, principal = _finder_class_arith(field)
+
+    def atoms(fac):
+        pool = [(prime, e, q) for prime, e in fac if (q := prime.norm) <= cap]
+        if not pool:
+            return
+        n = len(pool)
+        classes = classes_of([prime for prime, _, _ in pool])
+        found = []
+        # (exponents, norm, class of the parent box, index grown); each level
+        # in increasing exponent order
+        level = [
+            ((0,) * i + (1,) + (0,) * (n - 1 - i), pool[i][2], None, i)
+            for i in reversed(range(n))
+        ]
+        while level:
+            grown = []
+            for k, norm, c, i in level:
+                if found and any(all(map(le, a, k)) for a in found):
+                    continue
+                c = classes[i] if c is None else mul(c, classes[i])
+                if principal(c):
+                    found.append(k)
+                    yield norm, tuple((pool[j][0], kj) for j, kj in enumerate(k) if kj)
+                    continue
+                for j in reversed(range(i, n)):
+                    _, e, q = pool[j]
+                    if k[j] < e and norm * q <= cap:
+                        grown.append((k[:j] + (k[j] + 1,) + k[j + 1:], norm * q, c, j))
+            level = grown
+
+    return atoms
+
+
 def all_atoms_per_ideal(field: FieldSpec, kappa: int) -> list[int]:
     """Sorted norms of the all-atoms set by the per-ideal rule: the atom
-    finder runs on every ideal of norm <= kappa, with no signature memo,
-    and keeps the ideal iff its whole box is its own first atom."""
-    from atomzeta.atoms import _atom_finder
+    finder runs on every ideal of norm <= kappa and keeps the ideal iff its
+    whole box is its own first atom (the whole box is the largest, so it
+    comes first only if it is the only atom)."""
     from atomzeta.ideals import enumerate_ideals_factored
 
     atoms_of = _atom_finder(field, kappa)
@@ -431,6 +505,21 @@ def all_atoms_per_ideal(field: FieldSpec, kappa: int) -> list[int]:
         for norm, fac in enumerate_ideals_factored(field, kappa)
         if next(atoms_of(fac), (0,))[0] == norm
     )
+
+
+def atom_ideals_dividing_finder(field: FieldSpec, members, kappa: int):
+    """The atom ideals of norm <= kappa dividing some m in members, sorted
+    by (norm, a, b), from the finder over the prime factorization of each
+    (m)."""
+    from atomzeta.ideals import FactoredIdeal, factor_ideal, principal_ideal
+
+    atoms_of = _atom_finder(field, kappa)
+    out = set()
+    for m in members:
+        if m >= 2:
+            fac = factor_ideal(principal_ideal(field.element(m))).factors
+            out.update(FactoredIdeal(field, parts).unfactor() for _, parts in atoms_of(fac))
+    return sorted(out, key=lambda i: i.sort_key())
 
 
 def euler_primes_sum_loop(x: int, prec_bits: int = 100):

@@ -11,6 +11,8 @@ from atomzeta.atoms import (
 )
 from atomzeta.errors import UnitElementError, ZeroElementError
 from atomzeta.ring import canonical_associate, is_associated, make_field, rational_field
+from atomzeta.series import build_ideal_set, parse_aset
+from atomzeta.sieve import primes_upto
 from oracles import atoms_dividing_brute, factor_scan, is_atom_brute, reps_by_norm
 
 F1 = make_field(-1)
@@ -88,6 +90,30 @@ def test_factor_into_atoms_matches_scan_oracle():
             assert factor_into_atoms(e) == factor_scan(e), (d, e)
 
 
+def test_d79_atoms_match_oracles_past_the_scan_cap():
+    # h = 3 and eps = 80 + 9 sqrt(79): a non-principal ideal of norm above
+    # about 3 * 10^7 has its generator-scan bound past the cap.  The primes
+    # above q = 5501 and r = 5507 are non-principal; (q) = Q Q' and (q r)
+    # must be factored without deciding Q'^2 or Q R' on a scan of their own
+    f = make_field(79)
+    table = reps_by_norm(f, 60)
+    for reps in table.values():
+        for e in reps:
+            assert is_atom(e) == is_atom_brute(e, table), e
+    rng = random.Random(79)
+    sample = [f.element(m) for m in (5501, 5501 * 5507, 2 * 5501, 3 * 5507)]
+    sample += [f.element(rng.randint(2, 600)) for _ in range(15)]
+    while len(sample) < 40:
+        e = f.element(rng.randint(-16, 16), rng.randint(-16, 16))
+        if not (e.is_zero() or e.is_unit()):
+            sample.append(e)
+    for e in sample:
+        fz = factor_scan(e)
+        assert factor_into_atoms(e) == fz, e
+        assert is_atom(e) == (len(fz.factors) == 1 and fz.factors[0][1] == 1), e
+    assert is_atom(f.element(5501)) and not is_atom(f.element(5501 * 5507))
+
+
 def test_atoms_dividing_examples():
     got = atoms_dividing(6, F5)
     assert [str(a) for a in got] == ["2", "1-√-5", "1+√-5", "3"]
@@ -114,14 +140,17 @@ def test_atom_ideals_dividing_norm_cap():
 
 
 def test_atom_ideals_dividing_prime_fast_path():
-    # the prime-argument shortcut must agree with the generic route
-    for f in (F1, F5, make_field(-23)):
-        for p in (2, 3, 5, 7, 11, 13, 23):
-            fast = atom_ideals_dividing(p, f)
-            slow = atom_ideals_dividing(p * 1, f, norm_cap=p * p)  # same call, capped at max
-            assert fast == slow
-            for i in fast:
+    # the read-off of the atoms dividing a prime from its splitting (the
+    # atoms-dividing:primes set) must agree with the walk over the box of (p)
+    kappa = 23 * 23
+    for f in (F1, F5, make_field(-23), make_field(10), make_field(79), rational_field()):
+        fast = build_ideal_set(f, parse_aset("atoms-dividing:primes"), kappa)
+        slow = set()
+        for p in primes_upto(kappa):
+            for i in atom_ideals_dividing(p, f, norm_cap=kappa):
                 assert (p * p) % i.norm == 0
+                slow.add(i)
+        assert fast == sorted(slow, key=lambda i: i.sort_key()), f.label()
 
 
 def test_rational_field_atoms_are_primes():

@@ -6,6 +6,7 @@ import pytest
 
 from atomzeta.classgroup import (
     AbelianGroupSpec,
+    _inverse_reduced,
     QuadForm,
     class_group,
     class_group_structure,
@@ -150,6 +151,17 @@ def test_is_principal_agrees_with_generator_search():
                 assert gen is None
             if not f.is_real:
                 assert ok == is_principal_class(ideal)
+
+
+def test_inverse_reduced_is_small_and_in_the_inverse_class():
+    # K has norm <= sqrt(D/3) and I K is principal, so I and K are both
+    # principal or both not (d = 79 has h = 3, d = 10 and 15 have h = 2)
+    for f in (make_field(2), make_field(3), make_field(10), make_field(15), make_field(79)):
+        for ideal in hnf_triples_brute(f, 150):
+            k = _inverse_reduced(ideal)
+            assert 3 * k.norm**2 <= f.disc, (f.d, ideal)
+            assert is_principal(ideal_mul(ideal, k))[0], (f.d, ideal)
+            assert is_principal(k)[0] == is_principal(ideal)[0], (f.d, ideal)
 
 
 def test_real_field_principality_examples():

@@ -8,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from atomzeta.cli import _parse_kappa_grid, _parser, main
 from atomzeta.ring import make_field
 
@@ -144,6 +146,20 @@ def test_real_field_generator_scan_over_cap_exit_2(capsys):
     assert "atom: 7  exponent 1  ideal norm 49\n" in out
 
 
+def test_real_field_factor_past_the_scan_cap_exit_0():
+    # Q(sqrt 79), h = 3: the primes above 5501 and 5507 are non-principal,
+    # and Q'^2 or Q R' (norm about 3 * 10^7) would pass the scan cap; a
+    # fresh process each, so no earlier call has met the field
+    for n, atoms in (("5501", ["5501"]), ("30294007", ["5501", "5507"])):
+        proc = subprocess.run(
+            [sys.executable, "-m", "atomzeta.cli", "factor", "-d", "79", n],
+            capture_output=True, text=True, timeout=20, env=_src_env(),
+        )
+        assert proc.returncode == 0 and not proc.stderr, (n, proc.stderr)
+        lines = proc.stdout.splitlines()
+        assert [line.split()[1] for line in lines if line.startswith("atom:")] == atoms
+
+
 def test_ring_rank_three_davenport(capsys):
     for d, group, dconst in (("-546", "Z/2 x Z/2 x Z/6", 8), ("-1001", "Z/2 x Z/2 x Z/10", 12)):
         code, out, err = run_cli(capsys, "ring", "-d", d)
@@ -196,6 +212,23 @@ def test_factor_error_paths(capsys):
         code, _, err = run_cli(capsys, "factor", "-d", "-1", tok)
         assert code == 2, tok
         assert "error" in err
+
+
+def test_ring_and_factor_refuse_table_flags(tmp_path, capsys):
+    # -o, --format and --prec shape zeta and census tables only; ring and
+    # factor print to stdout, so argparse refuses the flags (exit 2)
+    target = tmp_path / "out.txt"
+    for argv in (["factor", "-d", "-5", "6", "-o", str(target)],
+                 ["factor", "-d", "-5", "6", "--format", "json"],
+                 ["ring", "-d", "-5", "--prec", "100"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == "", argv
+        assert "unrecognized arguments" in out.err, argv
+    assert not target.exists()
+    code, out, _ = run_cli(capsys, "ring", "-d", "-5", "--threads", "2")
+    assert code == 0 and out.startswith("field: Q(√-5)")
 
 
 def test_zeta_csv_shape(capsys):

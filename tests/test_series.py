@@ -21,6 +21,7 @@ from atomzeta.series import (
 from atomzeta.sieve import primes_upto
 from oracles import (
     all_atoms_per_ideal,
+    atom_ideals_dividing_finder,
     atoms_dividing_brute,
     euler_primes_sum_loop,
     reps_by_norm,
@@ -184,15 +185,28 @@ def test_divergence_table_counts_match_element_scan_oracle():
 
 
 def test_atoms_dividing_primes_match_finder():
-    # atoms dividing a prime are read off its splitting; the finder, which
-    # searches the sub-boxes of (p), is the reference.  The fields cover
-    # principal and non-principal split and ramified primes, inert primes
-    # of norm <= kappa, h > 1 in real fields (10, 79) and Q
+    # atoms dividing a prime are read off its splitting; the finder oracle,
+    # which searches the sub-boxes of (p), is the reference.  The fields
+    # cover principal and non-principal split and ramified primes, inert
+    # primes of norm <= kappa, h > 1 in real fields (10, 79) and Q
     kappa = 2000
     for f in [make_field(d) for d in (-1, -3, -5, -14, -23, -221, 2, 10, 79)] + [Q]:
-        want = {i for p in primes_upto(kappa) for i in atom_ideals_dividing(p, f, kappa)}
+        want = atom_ideals_dividing_finder(f, primes_upto(kappa), kappa)
         got = build_ideal_set(f, parse_aset("atoms-dividing:primes"), kappa)
-        assert got == sorted(want, key=lambda i: i.sort_key()), f.label()
+        assert got == want, f.label()
+
+
+def test_real_field_atom_sets_match_finder_oracles():
+    # the walk keeps real-field sub-products as ideals in its nodes; the
+    # oracles grow and test them level by level.  h = 1 for d = 2, 3 and
+    # h = 2, 3 for d = 10, 79
+    kappa = 2000
+    ap = parse_aset("atoms-dividing:ap:3,4")
+    for f in [make_field(d) for d in (2, 3, 10, 79)]:
+        got = build_ideal_set(f, parse_aset("all-atoms"), kappa)
+        assert [i.norm for i in got] == all_atoms_per_ideal(f, kappa), f.label()
+        want = atom_ideals_dividing_finder(f, ap.xset.members_upto(kappa), kappa)
+        assert build_ideal_set(f, ap, kappa) == want, f.label()
 
 
 def test_divergence_table_truncates_x_by_least_m():
@@ -287,7 +301,7 @@ def test_atom_census_rational_counts_primes():
 
 
 def test_all_atoms_signature_memo_matches_per_ideal_oracle():
-    # the census decides each (class, exponent) signature once; the oracle
+    # the census walks the zero-sum-free boxes of the prime pool; the oracle
     # runs the atom finder on every ideal
     for field in [make_field(d) for d in (-1, -3, -5, -14, -23, -30, -105)] + [Q]:
         census = atom_census(field, 5000)
