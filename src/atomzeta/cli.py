@@ -289,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        p.add_argument("--prec", type=int, default=DEFAULT_PREC_BITS,
-                       help=f"mantissa precision in bits (>= {MIN_PREC_BITS})")
 
     p_ring = sub.add_parser("ring", help="field invariants and class data")
     common(p_ring)
@@ -302,6 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_zeta = sub.add_parser("zeta", help="restricted zeta partial sums")
     table(p_zeta)
+    p_zeta.add_argument("--prec", type=int, default=DEFAULT_PREC_BITS,
+                        help=f"mantissa precision in bits (>= {MIN_PREC_BITS})")
     p_zeta.add_argument("--aset", required=True,
                         help="all-atoms | prime-ideals | atoms-dividing-primes | "
                              "atoms-dividing:{all|primes|ap:a,q|list:..|file:PATH}")

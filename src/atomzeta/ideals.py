@@ -194,9 +194,10 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
+    # 2 is a square mod p = 1 (mod 8), so the least non-residue is odd
+    z = 3
     while kronecker_symbol(z, p) != -1:
-        z += 1
+        z += 2
     m, c = s, pow(z, q, p)
     t, r = pow(n, q, p), pow(n, (q + 1) // 2, p)
     while t != 1:

@@ -1,8 +1,12 @@
 """Restricted zeta partial sums, atom censuses and the asymptotic report.
 
-Partial sums are accumulated in increasing-norm order with mpmath at a
-configurable mantissa precision (>= 80 bits), terms of equal norm grouped,
-so results are reproducible bit-for-bit.
+Each term n^-s of a partial sum is rounded to a configurable mantissa
+precision (>= 80 bits): computed exactly in integers and correctly rounded
+for s = a/b with b <= 3 and small |a| (the paper's s = 1/2 among them),
+taken from mpmath's power otherwise.  The terms, those of equal norm
+grouped, are accumulated with mpmath at that precision in increasing-norm
+order, so results are reproducible bit-for-bit.  The Euler sum of 1/p is
+exact in fixed point and rounded once.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import e as _E, log
+from math import e as _E, isqrt, log
 from typing import TYPE_CHECKING
 
 from atomzeta.atoms import _atom_walk, _class_arith
@@ -224,18 +228,76 @@ def zeta_partial(
     return _norm_sum([i.norm for i in ideals if i.norm <= kappa], s, prec_bits)
 
 
+def _iroot(y: int, b: int) -> int:
+    """floor(y^(1/b)) for y >= 0 and b >= 1, by integer Newton steps from
+    2^ceil(bits/b), which is at least the root, down to the floor."""
+    if y < 2:
+        return y
+    x = 1 << -(-y.bit_length() // b)
+    while True:
+        z = ((b - 1) * x + y // x ** (b - 1)) // b
+        if z >= x:
+            return x
+        x = z
+
+
 def _norm_sum(norms: list[int], s: Fraction, prec_bits: int) -> tuple[mpmath.mpf, int]:
+    """(sum of n^-s over norms, count), terms of equal norm grouped and
+    added in increasing-norm order, each rounded to prec bits.
+
+    With s = a/b, b <= 3 and |a| * bits(n) <= 8 * prec, each distinct n
+    gives t = floor(2^K n^-s) exactly in integers: the floor b-th root of
+    2^(bK) // n^a (times n^|a| for s < 0).  K is set by the largest norm so
+    that every t has more than prec + 2 bits; an inexact t gets a sticky bit
+    below it, so rounding it to prec bits rounds n^-s correctly.  Any other
+    exponent takes mpmath's mpf(n) ** -s at prec, as every term once did: the
+    integers grow with b * prec and |a| * bits(n), and a Newton step from a
+    root twice too high shrinks it only by (b - 1)/b, so for b = 4 at 1000
+    bits, or for a decimal s such as 0.999 (b = 1000), mpmath's power is the
+    faster.  Each term is multiplied by its count (a power of two only
+    shifts the exponent) and added with mpmath's raw mpf_mul_int and mpf_add
+    at prec, round to nearest, as mpf arithmetic would."""
     import mpmath
+    from mpmath.libmp import (
+        from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_mul_int, mpf_neg, mpf_pow,
+        mpf_shift,
+    )
 
     count = len(norms)
-    with mpmath.workprec(max(prec_bits, MIN_PREC_BITS)):
-        if s == 0:
+    prec = max(prec_bits, MIN_PREC_BITS)
+    if s == 0:
+        with mpmath.workprec(prec):
             return mpmath.mpf(count), count
-        sexp = mpmath.mpf(s.numerator) / s.denominator
-        total = mpmath.mpf(0)
-        for n, k in sorted(Counter(norms).items()):
-            total += k * mpmath.mpf(n) ** (-sexp)
-        return total, count
+    a, b = s.numerator, s.denominator
+    groups = sorted(Counter(norms).items())
+    bits = groups[-1][0].bit_length() if groups else 0
+    exact = b <= 3 and abs(a) * bits <= 8 * prec
+    if exact:
+        # n^-s > 2^(-a * bits(n) / b) for s > 0, and n^-s >= 1 for s < 0
+        k = prec + 3 + (-(-a * bits // b) if a > 0 else 0)
+        scale = 1 << (b * k)
+    else:
+        neg_s = mpf_neg(mpf_div(from_int(a), from_int(b), prec, "n"))
+    total = fzero
+    for n, c in groups:
+        if not exact:  # mpf(n) ** -s at prec
+            term = mpf_pow(from_int(n, prec, "n"), neg_s, prec, "n")
+        else:
+            if a > 0:
+                y, r = divmod(scale, n**a)
+            else:
+                y, r = scale * n**-a, 0
+            t = y if b == 1 else isqrt(y) if b == 2 else _iroot(y, b)
+            if r or t**b != y:  # inexact: t < 2^K n^-s < t + 1
+                term = from_man_exp(2 * t + 1, -k - 1, prec, "n")
+            else:
+                term = from_man_exp(t, -k, prec, "n")
+        if c & (c - 1):
+            term = mpf_mul_int(term, c, prec, "n")
+        elif c > 1:  # c = 2^j scales the rounded term exactly
+            term = mpf_shift(term, c.bit_length() - 1)
+        total = mpf_add(total, term, prec, "n")
+    return mpmath.mp.make_mpf(total), count
 
 
 @dataclass(frozen=True)

@@ -534,3 +534,19 @@ def euler_primes_sum_loop(x: int, prec_bits: int = 100):
         for p in primes_upto(x):
             total += one / p
         return total
+
+
+def norm_sum_loop(norms, s, prec_bits: int = 100):
+    """Sum of n^-s over norms by the mpf loop `series._norm_sum` ran before
+    its integer terms: equal norms grouped, increasing norm, each term
+    mpf(n) ** -s times its count, accumulated in mpmath at prec_bits."""
+    from collections import Counter
+
+    with mpmath.workprec(max(prec_bits, 80)):
+        if s == 0:
+            return mpmath.mpf(len(norms))
+        sexp = mpmath.mpf(s.numerator) / s.denominator
+        total = mpmath.mpf(0)
+        for n, k in sorted(Counter(norms).items()):
+            total += k * mpmath.mpf(n) ** (-sexp)
+        return total

@@ -215,8 +215,9 @@ def test_factor_error_paths(capsys):
 
 
 def test_ring_and_factor_refuse_table_flags(tmp_path, capsys):
-    # -o, --format and --prec shape zeta and census tables only; ring and
-    # factor print to stdout, so argparse refuses the flags (exit 2)
+    # -o and --format shape zeta and census tables only, and --prec zeta's
+    # sums; ring and factor print to stdout, so argparse refuses the flags
+    # (exit 2)
     target = tmp_path / "out.txt"
     for argv in (["factor", "-d", "-5", "6", "-o", str(target)],
                  ["factor", "-d", "-5", "6", "--format", "json"],
@@ -582,12 +583,30 @@ def test_threads_below_one_exit_2(monkeypatch, capsys):
         monkeypatch.delenv("ATOMZETA_THREADS")
 
 
+def test_zeta_decimal_exponent_is_quick(capsys):
+    # a decimal s has a large denominator b (0.123456789 = 123456789/10^9);
+    # its terms must not be b-th roots of integers of b * prec bits
+    for s in ("0.999", "0.123456789", "0.029"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "zeta", "-d", "-5", "--aset", "prime-ideals",
+                                 "--s", s, "--kappa", "1e3")
+        assert code == 0 and not err and out, s
+        assert time.perf_counter() - start < 10, s
+
+
 def test_prec_below_80_exit_2(capsys):
-    code, out, err = run_cli(capsys, "census", "-d", "-5", "--kappa", "1e4", "--prec", "5")
+    zeta = ("zeta", "-d", "-5", "--aset", "atoms-dividing:primes", "--s", "1/2")
+    code, out, err = run_cli(capsys, *zeta, "--kappa", "1e4", "--prec", "5")
     assert code == 2 and out == ""
     assert err.startswith("atomzeta: error:") and "--prec" in err
-    code, out, _ = run_cli(capsys, "census", "-d", "-5", "--kappa", "100", "--prec", "80")
+    code, out, _ = run_cli(capsys, *zeta, "--kappa", "100", "--prec", "80")
     assert code == 0 and out
+    # --prec sets the precision of zeta's sums only; census has none to set
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "-d", "-5", "--kappa", "100", "--prec", "100"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "unrecognized arguments: --prec" in out.err
 
 
 def test_main_reuses_one_parser_like_fresh_calls(capsys):

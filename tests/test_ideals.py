@@ -14,6 +14,7 @@ from atomzeta.ideals import (
     primes_above,
     principal_ideal,
     splitting_type,
+    sqrt_mod_prime,
     unit_ideal,
 )
 from atomzeta.ring import make_field, rational_field
@@ -224,3 +225,26 @@ def test_kronecker_symbol_basics():
     assert kronecker_symbol(-20, 11) == -1
     assert kronecker_symbol(17, 2) == 1
     assert kronecker_symbol(5, 2) == -1
+
+
+def _check_sqrt_mod_prime(n, p):
+    # Euler's criterion decides squares independently of the root search
+    r = sqrt_mod_prime(n, p)
+    if n % p == 0 or pow(n, (p - 1) // 2, p) == 1:
+        assert r is not None and r * r % p == n % p, (n, p, r)
+    else:
+        assert r is None, (n, p, r)
+
+
+def test_sqrt_mod_prime_every_residue_below_600():
+    for p in primes_upto(600)[1:]:
+        for n in range(-1, p + 1):
+            _check_sqrt_mod_prime(n, p)
+
+
+def test_sqrt_mod_prime_high_two_adic_valuation():
+    # p - 1 = 2^8, 2^16 and 7 * 2^20: Tonelli-Shanks runs its longest loops
+    rng = random.Random(17)
+    for p in (257, 65537, 7340033):
+        for n in [2, 3, p - 1, p - 2] + [rng.randrange(p) for _ in range(300)]:
+            _check_sqrt_mod_prime(n, p)

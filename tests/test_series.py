@@ -9,6 +9,8 @@ from atomzeta.errors import DomainError
 from atomzeta.ring import make_field, rational_field
 from atomzeta.series import (
     DEFAULT_PREC_BITS,
+    _atom_parts,
+    _norm_sum,
     atom_census,
     asymptotic_report,
     build_ideal_set,
@@ -24,6 +26,7 @@ from oracles import (
     atom_ideals_dividing_finder,
     atoms_dividing_brute,
     euler_primes_sum_loop,
+    norm_sum_loop,
     reps_by_norm,
 )
 
@@ -146,6 +149,56 @@ def test_zeta_partial_precision_floor():
     lo, _ = zeta_partial(ideals, Fraction(1), 50, prec_bits=16)  # clamped to 80
     hi, _ = zeta_partial(ideals, Fraction(1), 50, prec_bits=80)
     assert lo == hi
+
+
+def test_norm_sum_matches_mpf_loop_oracle_bit_for_bit():
+    # the integer terms, correctly rounded, against the mpf loop they
+    # replaced, which rounds 1/sqrt(n) twice; every value is compared exactly
+    for d in (-1, -5, -14, -23, 2, 5):
+        field = make_field(d)
+        for aset in ("prime-ideals", "all-atoms", "atoms-dividing:primes"):
+            norms = [n for n, _, _ in _atom_parts(field, parse_aset(aset), 10**5)]
+            for s in (Fraction(1, 2), Fraction(1)):
+                got, count = _norm_sum(norms, s, DEFAULT_PREC_BITS)
+                assert count == len(norms)
+                assert got == norm_sum_loop(norms, s, DEFAULT_PREC_BITS), (d, aset, s)
+
+
+def test_norm_sum_terms_are_correctly_rounded():
+    # one norm is one term; mpmath at 4 * prec, rounded once to prec, is the
+    # reference, and n = 2^e with b | e*a is the exact dyadic 2^(-e*a/b)
+    norms = (2, 3, 5, 7, 4, 16, 2**20, 99999989, 10**8, 10**8 + 7, 2**26 * 3 - 1)
+    exps = (Fraction(1, 3), Fraction(2, 3), Fraction(3, 2), Fraction(3),
+            Fraction(-1, 2), Fraction(-1), Fraction(1, 2), Fraction(1))
+    for prec in (80, 100, 333):
+        for s in exps:
+            for n in norms:
+                got, _ = _norm_sum([n], s, prec)
+                e = n.bit_length() - 1
+                if n == 1 << e and e * s.numerator % s.denominator == 0:
+                    want = mpmath.ldexp(1, -e * s.numerator // s.denominator)
+                else:
+                    with mpmath.workprec(4 * prec):
+                        wide = mpmath.mpf(n) ** (-mpmath.mpf(s.numerator) / s.denominator)
+                    with mpmath.workprec(prec):
+                        want = +wide
+                assert got == want, (prec, s, n)
+                assert got.man.bit_length() <= prec, (prec, s, n)
+    assert _norm_sum([4], Fraction(1, 2), 100)[0] == mpmath.mpf(0.5)
+    assert _norm_sum([16, 16, 16], Fraction(1, 2), 100)[0] == mpmath.mpf(0.75)
+
+
+def test_norm_sum_other_exponents_take_the_mpmath_power():
+    # b > 3, a decimal s (0.123456789 has b = 10^9) and n^|a| past 8 * prec
+    # bits are summed with mpf(n) ** -s, as the mpf loop did, bit for bit
+    field = make_field(-5)
+    norms = [n for n, _, _ in _atom_parts(field, parse_aset("atoms-dividing:primes"), 10**3)]
+    norms += [99999989, 10**8, 10**8]
+    for s in ("1/4", "3/4", "2/5", "51/100", "0.999", "0.123456789", "200", "-64/3"):
+        for prec in (80, 200):
+            got, count = _norm_sum(norms, Fraction(s), prec)
+            assert count == len(norms)
+            assert got == norm_sum_loop(norms, Fraction(s), prec), (s, prec)
 
 
 # --- divergence tables -----------------------------------------------------
