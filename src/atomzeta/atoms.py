@@ -9,23 +9,10 @@ the prime-ideal factorization of (e) has principal product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
-from atomzeta.errors import (
-    CapExceededError,
-    InternalInvariantError,
-    UnitElementError,
-    ZeroElementError,
-)
-from atomzeta.ideals import (
-    FactoredIdeal,
-    Ideal,
-    _factor_rational,
-    factor_ideal,
-    ideal_mul,
-    principal_ideal,
-)
+from atomzeta.errors import InternalInvariantError, UnitElementError, ZeroElementError
+from atomzeta.ideals import FactoredIdeal, Ideal, _factor_rational, factor_ideal, principal_ideal
 from atomzeta.ring import (
     FieldSpec,
     RingElement,
@@ -33,7 +20,7 @@ from atomzeta.ring import (
     exact_div,
 )
 from atomzeta.sieve import factorint, isprime
-from atomzeta.classgroup import _inverse_reduced, class_group, is_principal, is_principal_class
+from atomzeta.classgroup import class_group, is_principal
 
 
 def is_atom(e: RingElement) -> bool:
@@ -111,49 +98,6 @@ def factor_into_atoms(e: RingElement) -> AtomFactorization:
     return AtomFactorization(unit, tuple(ordered))
 
 
-@lru_cache(maxsize=None)
-def _class_arith(field: FieldSpec):
-    """(classes, add, principal, key, zero_sum) for the ideal classes of one
-    field: classes(primes) lists a box's prime classes, add is the group
-    law, and for k = key(g), zero_sum(S, k) is the c in S with c + g = 0
-    (the first by norm), or None.
-
-    Imaginary fields and Q use vectors in Cl(K) read off each prime's
-    (p, b); a split prime's conjugate, next to it in a box, gets the negated
-    vector, and k = -g.  Real fields use the product ideals, k = g, and test
-    only sub-boxes of the box walked, so never a norm beyond its cap; a
-    test whose generator scan passes the cap is decided on a small ideal of
-    the inverse class instead."""
-    if field.is_real:
-
-        @cache  # a scan past the cap raises again on every call
-        def principal(ideal: Ideal) -> bool:
-            try:
-                return is_principal_class(ideal)
-            except CapExceededError:
-                return is_principal_class(_inverse_reduced(ideal))
-
-        mul = lru_cache(maxsize=1024)(ideal_mul)  # a test and its next node share products
-
-        def zero_sum(sums, prime_ideal):
-            by_norm = sorted(sums, key=attrgetter("norm"))
-            return next((c for c in by_norm if principal(mul(c, prime_ideal))), None)
-
-        return (lambda primes: [prime.ideal for prime in primes]), mul, principal, (lambda g: g), zero_sum
-    group = class_group(field)
-    vector, neg = group.prime_vector, group.neg
-
-    def classes(primes):
-        out, last = [], 0
-        for prime in primes:
-            # the second of two primes above p: p splits into conjugates
-            out.append(neg(out[-1]) if prime.p == last else vector(prime))
-            last = prime.p
-        return out
-
-    return classes, group.add, (lambda c: not any(c)), neg, lambda sums, k: k if k in sums else None
-
-
 def _atom_walk(field: FieldSpec, fac, cap: int):
     """(norm, parts) for every atom of norm <= cap that divides the box
     fac = ((PrimeIdeal, e), ...), once each and in no set order; parts =
@@ -167,40 +111,43 @@ def _atom_walk(field: FieldSpec, fac, cap: int):
     box.  The other primes are walked depth first, one copy at a time,
     through the zero-sum-free boxes only, each node keeping its class t and
     the set S of the classes of its nonempty sub-boxes (at most h - 1
-    vectors; on a real field one product ideal per sub-box).  One more copy
-    of a prime of class g gives an atom if t + g = 0, a box with a
-    principal proper sub-box (pruned with every higher exponent) if c + g
-    = 0 for another c in S, and otherwise the zero-sum-free box with
-    S | (S + g) | {g}.  If t + g = 0, no other c in S has c + g = 0, for
-    then the sub-box that c leaves out would be principal.
+    vectors of class_group(field)).  One more copy of a prime of class g
+    gives an atom if t + g = 0, a box with a principal proper sub-box
+    (pruned with every higher exponent) if -g is another c in S, and
+    otherwise the zero-sum-free box with S | (S + g) | {g}.  If t + g = 0,
+    no other c in S has c + g = 0, for then the sub-box that c leaves out
+    would be principal.  A split prime's conjugate, next to it in a box,
+    has the inverse class.
     The primes are sorted by norm, so a walk can stop at the first norm
     too large; the stable sort keeps a split prime next to its conjugate.
     """
     by_norm = [(q, prime, top) for prime, top in fac if (q := prime.norm) <= cap]
     by_norm.sort(key=itemgetter(0))
-    classes_of, add, principal, key, zero_sum = _class_arith(field)
-    walk = []
-    for (q, prime, top), g in zip(by_norm, classes_of([prime for _, prime, _ in by_norm])):
-        if principal(g):
-            yield q, ((prime, 1),)
+    group = class_group(field)
+    add, neg = group.add, group.neg
+    walk, g, last = [], None, 0
+    for q, prime, top in by_norm:
+        g = neg(g) if prime.p == last else group.prime_vector(prime)
+        last = prime.p
+        if any(g):
+            walk.append((prime, q, top, g, neg(g)))
         else:
-            walk.append((prime, q, top, g, key(g)))
+            yield q, ((prime, 1),)
     del by_norm  # the walk list holds every prime it needs
     # (next index into walk, norm, parts, class, sub-box classes)
     stack = [(0, 1, (), None, frozenset())]
     while stack:
         i, norm, parts, t, sums = stack.pop()
         for j in range(i, len(walk)):
-            prime, q, top, g, k = walk[j]
+            prime, q, top, g, minus_g = walk[j]
             n2, e = norm * q, 1
             if n2 > cap:
                 break
             s, sub = t, sums
             while n2 <= cap and e <= top:
                 box = parts + ((prime, e),)
-                hit = zero_sum(sub, k)
-                if hit is not None:
-                    if hit == s:
+                if minus_g in sub:
+                    if minus_g == s:
                         yield n2, box
                     break
                 s = g if s is None else add(s, g)

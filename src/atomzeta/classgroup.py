@@ -1,8 +1,12 @@
 """Binary quadratic forms, class groups, principality and Davenport constants.
 
-Imaginary fields (and Q) get one ClassGroup each, built from prime forms,
-with a vector in the sum of Z/m_i for every class; real fields only get
-principality-by-generator-search inside the fundamental-unit band.
+Every field gets one ClassGroup, built from prime forms, with a vector in
+the sum of Z/m_i for every class.  An imaginary class holds one reduced
+form.  A real class (of the wide group) holds the reduced forms on the
+rho-cycles of f and of (-a, b, -c), and each of them with a > 0 is keyed
+to its vector; real principality walks one rho-cycle for a generator
+(Cohen, GTM 138, sections 5.6-5.8; Buchmann & Vollmer, Binary Quadratic
+Forms, 2007).
 """
 
 from __future__ import annotations
@@ -12,18 +16,9 @@ from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
-from atomzeta.errors import (
-    CapExceededError,
-    DomainError,
-    InternalInvariantError,
-    RealFieldError,
-)
-from atomzeta.ideals import Ideal, PrimeIdeal, _primes_above, _xgcd, ideal_from_elements
-from atomzeta.ring import (
-    FieldSpec,
-    RingElement,
-    fundamental_unit,
-)
+from atomzeta.errors import CapExceededError, DomainError, InternalInvariantError
+from atomzeta.ideals import Ideal, PrimeIdeal, _primes_above, _xgcd
+from atomzeta.ring import FieldSpec, RingElement
 from atomzeta.sieve import factorint, primes_upto
 
 
@@ -40,6 +35,8 @@ class QuadForm(NamedTuple):
 
     def is_reduced(self) -> bool:
         a, b, c = self.a, self.b, self.c
+        if a * c < 0:  # D > 0, and no other form of D > 0 is reduced
+            return _is_reduced_real(a, b, isqrt(self.disc))
         if not (abs(b) <= a <= c):
             return False
         if (abs(b) == a or a == c) and b < 0:
@@ -69,17 +66,64 @@ def _reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
         return a, b, c
 
 
+def _is_reduced_real(a: int, b: int, s: int) -> bool:
+    """|sqrt(D) - 2|a|| < b < sqrt(D) for s = isqrt(D), D not a square."""
+    return 0 < b <= s and s - b < 2 * abs(a) <= s + b
+
+
+def _rho(a: int, b: int, c: int, disc: int, s: int) -> tuple[int, int, int]:
+    """rho(a, b, c) = (c, r, (r^2 - D)/4c) = f o [[0, -1], [1, t]] for
+    r = 2ct - b in (-|c|, |c|] if c^2 > D, else in (s - 2|c|, s]."""
+    m = 2 * abs(c)
+    if c * c > disc:
+        r = -b % m
+        if r > m // 2:
+            r -= m
+    else:
+        r = s - (s + b) % m
+    return c, r, (r * r - disc) // (4 * c)
+
+
+def _reduce_real(a: int, b: int, c: int, disc: int) -> tuple[int, int, int]:
+    """rho until reduced, and once more if a < 0: the reduced forms have
+    ac < 0, so a changes sign at every step of a cycle."""
+    s = isqrt(disc)
+    while not _is_reduced_real(a, b, s):
+        a, b, c = _rho(a, b, c, disc, s)
+    return _rho(a, b, c, disc, s) if a < 0 else (a, b, c)
+
+
+def _wide_class(f: tuple[int, int, int], disc: int) -> list[tuple[int, int, int]]:
+    """The reduced forms with a > 0 on the rho-cycles of a reduced f with
+    a > 0 and of (-a, b, -c): one cycle when N(eps) = -1, else two."""
+    s = isqrt(disc)
+    forms = []
+    for g in (f, _rho(-f[0], f[1], -f[2], disc, s)):
+        if g in forms:
+            break
+        start = g
+        while True:
+            forms.append(g)
+            g = _rho(*_rho(*g, disc, s), disc, s)
+            if g == start:
+                break
+    return forms
+
+
 def reduce_form(f: QuadForm) -> QuadForm:
-    if f.disc >= 0:
-        raise RealFieldError("form reduction implemented for negative discriminants")
-    out = QuadForm(*_reduce(*f))
+    """The reduced form of f; for D > 0, the one with a > 0 that rho
+    reaches first.  A square D (the form factors over Q) is refused."""
+    disc = f.disc
+    if disc >= 0 and isqrt(disc) ** 2 == disc:
+        raise DomainError("forms of square discriminant have no reduction")
+    out = QuadForm(*(_reduce(*f) if disc < 0 else _reduce_real(*f, disc)))
     if not out.is_reduced():
         raise InternalInvariantError("reduction did not terminate in a reduced form")
     return out
 
 
 def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
-    """Reduced Gauss/Dirichlet composition (negative discriminants)."""
+    """Reduced Gauss/Dirichlet composition of two forms with a > 0."""
     if f1.disc != f2.disc:
         raise DomainError("composition requires equal discriminants")
     if f1.a > f2.a:
@@ -111,9 +155,8 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
 
 
 def ideal_to_form(ideal: Ideal) -> QuadForm:
+    """N(x a - y (b + c w)) / N(I) for I = <a, b + c w> in HNF."""
     field = ideal.field
-    if not field.is_imaginary:
-        raise RealFieldError("form correspondence implemented for imaginary fields")
     a, b, c = ideal.a, ideal.b, ideal.c
     n = a * c
     # the middle coefficient is negated so that form_to_ideal inverts this
@@ -150,55 +193,52 @@ def ideal_class_form(ideal: Ideal) -> QuadForm:
 # ---------------------------------------------------------------------------
 # principality
 
-# Largest y the real-field generator scan reaches, about 0.1 s of scanning.
-# Its bound grows with eps; the largest the test suite reaches is 3,432.
-GENERATOR_SCAN_CAP = 10**5
-
-
 def _generator_candidates(ideal: Ideal):
-    """Elements of I with |N(e)| = N(I), complete up to sign: the solutions
-    of (2x + y)^2 - d y^2 = +-4N (x^2 - d y^2 = +-N when w = sqrt(d)) with
-    0 <= y <= bound, signs of x handled per y.
-
-    For imaginary d the bound is the ellipse's.  For real d, any generator
-    has an associate in the band [sqrt(N), eps*sqrt(N)) of the positive
-    embedding (after a sign flip); there |sigma| < eps*sqrt(N) and
-    |sigma-bar| <= sqrt(N), hence |y|*sqrt(d) <= (1 + eps)*sqrt(N).  As
-    |N(eps)| = 1, eps < Tr(eps) + 1, so y^2 <= (Tr(eps) + 2)^2 * N / d.  A
-    real scan stops at GENERATOR_SCAN_CAP and raises CapExceededError there
-    if the bound lies beyond it.
-    """
+    """Elements of I of norm N(I) in an imaginary field, complete up to
+    sign: the solutions of (2x + y)^2 - d y^2 = 4N (x^2 - d y^2 = N when
+    w = sqrt(d)) with 0 <= y inside the ellipse, signs of x handled per y."""
     field = ideal.field
     n, d = ideal.norm, field.d
     scale = 4 if field.half_basis else 1
-    if field.is_imaginary:
-        bound = stop = isqrt(scale * n // -d)
-    else:
-        bound = isqrt((fundamental_unit(field).trace() + 2) ** 2 * n // d)
-        stop = min(bound, GENERATOR_SCAN_CAP)
-    for y in range(stop + 1):
-        for target in (n, -n):
-            t2 = scale * target + d * y * y
-            if t2 < 0:
-                continue
-            t = isqrt(t2)
-            if t * t != t2:
-                continue
-            for ts in ({t, -t} if t else {0}):
-                if field.half_basis:
-                    if (ts - y) % 2:
-                        continue
-                    e = field.element((ts - y) // 2, y)
-                else:
-                    e = field.element(ts, y)
-                if ideal.contains(e):
-                    yield e
-    if stop < bound:
-        raise CapExceededError(
-            f"no generator of an ideal of norm {n} in {field.label()} has "
-            f"y <= {GENERATOR_SCAN_CAP}, the generator-scan cap; the unit band "
-            f"reaches a {bound.bit_length()}-bit y"
-        )
+    for y in range(isqrt(scale * n // -d) + 1):
+        t2 = scale * n + d * y * y
+        t = isqrt(t2)
+        if t * t != t2:
+            continue
+        for ts in ({t, -t} if t else {0}):
+            if field.half_basis:
+                if (ts - y) % 2:
+                    continue
+                e = field.element((ts - y) // 2, y)
+            else:
+                e = field.element(ts, y)
+            if ideal.contains(e):
+                yield e
+
+
+def _principal_real(ideal: Ideal) -> tuple[bool, RingElement | None]:
+    """is_principal on a real field by one rho-walk from f = ideal_to_form(I).
+
+    The walk keeps M in SL2(Z) with f o M the current form; a rho step
+    multiplies M by [[0, -1], [1, t]].  At a form (+-1, b, c), the first
+    column (x, y) of M has f(x, y) = +-1, so x a - y (b + c w) is a
+    generator.  Once reduced, the walk runs through every reduced form
+    properly equivalent to f, among them a (+-1, b, c) if f represents +-1:
+    if the cycle closes first, I is not principal."""
+    disc = ideal.field.disc
+    s = isqrt(disc)
+    a, b, c = ideal_to_form(ideal)
+    x, y, u, v = 1, 0, 0, 1  # the columns (x, y) and (u, v) of M
+    start = None
+    while abs(a) != 1:
+        if (a, b, c) == start:
+            return False, None
+        if start is None and _is_reduced_real(a, b, s):
+            start = (a, b, c)
+        a, r, c = _rho(a, b, c, disc, s)
+        t = (r + b) // (2 * a)  # the new a is the old c
+        b, x, y, u, v = r, u, v, t * u - x, t * v - y
+    return True, ideal.field.element(x * ideal.a - y * ideal.b, -y * ideal.c)
 
 
 @lru_cache(maxsize=None)
@@ -209,43 +249,20 @@ def is_principal(ideal: Ideal) -> tuple[bool, RingElement | None]:
         return True, field.element(ideal.a)
     if ideal.is_unit_ideal():
         return True, field.one
-    if field.is_imaginary and not is_principal_class(ideal):
+    if field.is_real:
+        return _principal_real(ideal)
+    if not is_principal_class(ideal):
         return False, None
-    for e in _generator_candidates(ideal):
-        if abs(e.norm()) == ideal.norm:
-            return True, e
-    if field.is_imaginary:
+    e = next(_generator_candidates(ideal), None)
+    if e is None:
         raise InternalInvariantError("principal class but no generator found")
-    return False, None
+    return True, e
 
 
 def is_principal_class(ideal: Ideal) -> bool:
-    """Principality without extracting a generator (cheap for imaginary fields)."""
+    """Principality without extracting a generator, read off the class group."""
     field = ideal.field
-    if field.is_rational:
-        return True
-    if field.is_imaginary:
-        return ideal_class_form(ideal) == class_group(field).identity
-    return is_principal(ideal)[0]
-
-
-def _inverse_reduced(ideal: Ideal) -> Ideal:
-    """An ideal K of a real field in the class of I^-1 with N(K) <= sqrt(D/3),
-    so I is principal iff K is: (alpha) = I K for a shortest alpha of I under
-    sigma1^2 + sigma2^2 = Tr(alpha^2), found by Lagrange reduction; K is
-    (alpha) conj(I) / N(I), and Hermite's bound gives its norm bound."""
-    field, n = ideal.field, ideal.norm
-    u, v = ideal.generators()
-    if (u * u).trace() > (v * v).trace():
-        u, v = v, u
-    while True:
-        q = (u * u).trace()
-        v = v - field.element((2 * (u * v).trace() + q) // (2 * q)) * u
-        if (v * v).trace() >= q:
-            break
-        u, v = v, u
-    gens = [u * g.conj() for g in ideal.generators()]
-    return ideal_from_elements(field, [field.element(g.x // n, g.y // n) for g in gens])
+    return field.is_rational or not any(class_group(field).vector(ideal))
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +301,10 @@ class AbelianGroupSpec:
 
 @dataclass(frozen=True, eq=False)
 class ClassGroup:
-    """Cl(K) as the sum of Z/m_i with m_1 | ... | m_r: the principal form,
-    the invariants, and the vector of every reduced form (over Q the one
-    class has no form and is keyed by None)."""
+    """Cl(K) as the sum of Z/m_i with m_1 | ... | m_r: the reduced
+    principal form, the invariants, and the vector of every reduced form
+    (with a > 0 when D > 0; over Q the one class has no form and is keyed
+    by None)."""
 
     identity: QuadForm | None
     invariants: tuple[int, ...]
@@ -304,7 +322,8 @@ class ClassGroup:
             return (0,) * len(self.invariants)
         p, disc = prime.p, self.identity.disc
         big_b = -(2 * prime.b + (disc & 1))
-        vec = self.coords.get(_reduce(p, big_b, (big_b * big_b - disc) // (4 * p)))
+        c = (big_b * big_b - disc) // (4 * p)
+        vec = self.coords.get(_reduce(p, big_b, c) if disc < 0 else _reduce_real(p, big_b, c, disc))
         if vec is None:
             raise InternalInvariantError("prime form reduced to no class of the group")
         return vec
@@ -350,54 +369,66 @@ def _smith(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
 
 @lru_cache(maxsize=None)
 def class_group(field: FieldSpec) -> ClassGroup:
-    """Cl(K) for an imaginary field or Q.
+    """Cl(K) for any field.
 
-    Every class holds a reduced form (a, b, c) with a <= sqrt(|D|/3), whose
-    ideal is a product of primes of norm <= a, so the classes of one prime
-    above each p <= sqrt(|D|/3) generate Cl(K) (inert primes are principal,
-    and the other prime above p is the inverse).  A prime class g outside
-    the subgroup H found so far is a new generator: its powers are walked
-    until g^e lies in H, which gives a relation row, and H grows by its
-    cosets H*g^j, 0 < j < e; about 2h compositions in all.  The Smith normal
-    form of the triangular relation matrix gives the invariants, and its
-    column transform maps each form's exponents to its vector.
+    Every class holds an ideal of norm at most sqrt(|D|/3) (imaginary: the
+    a of its reduced form) or sqrt(D)/2 (real: Minkowski), a product of
+    primes of norm at most that, so the classes of one prime above each
+    such p generate Cl(K) (inert primes are principal, and the other prime
+    above p is the inverse).  A prime class g outside the subgroup H found
+    so far is a new generator: its powers are walked until g^e lies in H,
+    which gives a relation row, and H grows by its cosets H*g^j, 0 < j < e;
+    about 2h compositions in all.  A real class is composed through its
+    reduced form with a > 0 that reduce_form gives, and keyed by every
+    form of _wide_class.  The Smith normal form of the triangular relation
+    matrix gives the invariants, and its column transform maps each class's
+    exponents to its vector.
     """
     if field.is_rational:
         return ClassGroup(None, (), {None: ()})
-    if not field.is_imaginary:
-        raise RealFieldError("class groups implemented for imaginary fields and Q only")
-    one = reduce_form(principal_form(field.disc))
+    disc = field.disc
+    one = reduce_form(principal_form(disc))
+    real = disc > 0
+    bound = isqrt(disc) // 2 if real else isqrt(-disc // 3)
     sub, rows = {one: []}, []  # H as form -> exponents over the generators so far
-    for p in primes_upto(isqrt(-field.disc // 3)):
+    # a real class is composed through the form that reduce_form gives, the
+    # key in sub, and found through every form of _wide_class
+    alias = dict.fromkeys(_wide_class(one, disc), one) if real else None
+    find = sub.get if alias is None else (lambda f: sub.get(alias.get(f)))
+    for p in primes_upto(bound):
         g = ideal_class_form(_primes_above(p, field)[0].ideal)
-        if g in sub:
+        if find(g) is not None:
             continue
         powers = [g]  # g^1 .. g^(e-1), none of them in H
         w = compose(g, g)
-        while w not in sub:
+        while (u := find(w)) is None:
             powers.append(w)
             w = compose(w, g)
         k = len(rows)
-        rows.append([-x for x in sub[w]] + [0] * (k - len(sub[w])) + [len(powers) + 1])
+        rows.append([-x for x in u] + [0] * (k - len(u)) + [len(powers) + 1])
         base = list(sub.items())
         for j, gj in enumerate(powers, 1):
             for f, u in base:
-                sub[gj if f == one else compose(f, gj)] = u + [0] * (k - len(u)) + [j]
+                h = gj if f == one else compose(f, gj)
+                sub[h] = u + [0] * (k - len(u)) + [j]
+                if alias is not None:
+                    alias.update(dict.fromkeys(_wide_class(h, disc), h))
     k = len(rows)
     diag, v = _smith([row + [0] * (k - len(row)) for row in rows])
     keep = [t for t in range(k) if diag[t] > 1]
-    coords = {
+    vectors = {
         f: tuple(sum(x * v[i][t] for i, x in enumerate(u)) % diag[t] for t in keep)
         for f, u in sub.items()
     }
+    coords = vectors if alias is None else {f: vectors[r] for f, r in alias.items()}
     group = ClassGroup(one, tuple(diag[t] for t in keep), coords)
-    if AbelianGroupSpec(group.invariants).order != len(coords):
+    if AbelianGroupSpec(group.invariants).order != len(sub):
         raise InternalInvariantError("class group order mismatch")
     return group
 
 
 def class_number(field: FieldSpec) -> int:
-    return len(class_group(field).coords)
+    return class_group_structure(field).order
 
 
 def class_group_structure(field: FieldSpec) -> AbelianGroupSpec:

@@ -139,15 +139,21 @@ def _emit(args, config: str, header: list[str], rows: list[list], meta: dict) ->
         sys.stdout.write(text)
 
 
+def _refuse_unprintable(what: str, *elements) -> None:
+    """Exit 2 before printing anything if an element has more digits than
+    Python converts to a string (sys.get_int_max_str_digits)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(max(abs(e.x), abs(e.y)) >= 10**limit for e in elements):
+        raise CapExceededError(f"{what} has more than {limit} digits, "
+                               "the int-to-str limit (sys.set_int_max_str_digits)")
+
+
 def cmd_ring(args) -> int:
     field = _parse_field(args.d)
     # every invariant that can exit 2 is computed before anything is printed
     if field.is_real:
         unit = fundamental_unit(field)
-        limit = sys.get_int_max_str_digits()
-        if limit and max(abs(unit.x), abs(unit.y)) >= 10**limit:
-            raise CapExceededError(f"the fundamental unit has more than {limit} digits, "
-                                   "the int-to-str limit (sys.set_int_max_str_digits)")
+        _refuse_unprintable("the fundamental unit", unit)
     elif field.is_imaginary:
         group = class_group_structure(field)
         d_const = davenport_constant(group)
@@ -188,6 +194,7 @@ def cmd_factor(args) -> int:
     if e.is_unit():
         raise UnitElementError("unit has no atom factorization")
     fact = factor_into_atoms(e)
+    _refuse_unprintable("an atom or the unit", fact.unit, *(atom for atom, _ in fact.factors))
     print(f"element: {e}  (norm {e.norm()})")
     print(f"unit: {fact.unit}")
     for atom, exp in fact.factors:

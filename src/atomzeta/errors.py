@@ -29,10 +29,6 @@ class UnitElementError(DomainError):
     """Operation undefined for units (e.g. atom factorization)."""
 
 
-class RealFieldError(DomainError):
-    """Operation restricted to imaginary quadratic fields."""
-
-
 class ImaginaryFieldError(DomainError):
     """Operation restricted to real quadratic fields."""
 

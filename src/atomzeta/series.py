@@ -18,8 +18,8 @@ from itertools import repeat
 from math import e as _E, isqrt, log
 from typing import TYPE_CHECKING
 
-from atomzeta.atoms import _atom_walk, _class_arith
-from atomzeta.classgroup import class_group_structure, davenport_constant
+from atomzeta.atoms import _atom_walk
+from atomzeta.classgroup import class_group, class_group_structure, davenport_constant
 from atomzeta.errors import CapExceededError, DomainError
 from atomzeta.ideals import (
     FactoredIdeal,
@@ -150,10 +150,12 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
     factorization.
 
     Prime ideals and all-atoms have m = 1.  Atoms dividing X come in order
-    of least m in X: read off the splitting of m when X is the primes, else
-    from the zero-sum-free walk `_atom_walk` over the box of (m).  All-atoms
-    come from the same walk over every prime ideal of norm <= kappa (atoms
-    are the minimal zero-sum sequences of the block monoid over Cl(K)).
+    of least m in X: read off the splitting of m and the class vector of a
+    prime above it when X is the primes, else from the zero-sum-free walk
+    `_atom_walk` over the box of (m).  All-atoms come from the same walk
+    over every prime ideal of norm <= kappa (atoms are the minimal zero-sum
+    sequences of the block monoid over Cl(K)).  Every field, real or not,
+    reads the one class_group(field).
     """
     if aspec.kind == "prime-ideals":
         for prime in _prime_pool(field, kappa):
@@ -171,12 +173,12 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
         # (m) is P P', P^2 or P itself, and a conjugate has the inverse class:
         # the atoms dividing m are the primes above m if they are principal,
         # else (m)
-        classes_of, _, principal, *_ = _class_arith(field)
+        group = class_group(field)
         for m in primes_upto(kappa):
             primes = _primes_above(m, field)
             if primes[0].norm > kappa:  # inert, of norm m^2
                 continue
-            if principal(classes_of(primes[:1])[0]):
+            if not any(group.prime_vector(primes[0])):
                 for prime in primes:
                     yield prime.norm, m, ((prime, 1),)
             elif m * m <= kappa:

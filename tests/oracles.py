@@ -418,18 +418,61 @@ def factor_scan(e: RingElement):
     return AtomFactorization(exact_div(e, prod), tuple(ordered))
 
 
+def principal_by_unit_band(ideal, cap: int = 10**5):
+    """(True, generator) or (False, None) for an ideal of a real field, by a
+    scan of the fundamental-unit band, independent of the cycle class group.
+
+    The candidates are the solutions of (2x + y)^2 - d y^2 = +-4N
+    (x^2 - d y^2 = +-N when w = sqrt(d)) with 0 <= y <= bound, signs of x
+    handled per y.  Any generator has an associate in the band
+    [sqrt(N), eps*sqrt(N)) of the positive embedding (after a sign flip);
+    there |sigma| < eps*sqrt(N) and |sigma-bar| <= sqrt(N), hence
+    |y|*sqrt(d) <= (1 + eps)*sqrt(N).  As |N(eps)| = 1, eps < Tr(eps) + 1,
+    so y^2 <= (Tr(eps) + 2)^2 * N / d.  For fields with a small eps only: a
+    bound past cap raises ValueError."""
+    field = ideal.field
+    n, d = ideal.norm, field.d
+    scale = 4 if field.half_basis else 1
+    bound = isqrt((fundamental_unit(field).trace() + 2) ** 2 * n // d)
+    if bound > cap:
+        raise ValueError(f"unit-band scan of {ideal} needs y <= {bound}, past {cap}")
+    for y in range(bound + 1):
+        for target in (n, -n):
+            t2 = scale * target + d * y * y
+            if t2 < 0:
+                continue
+            t = isqrt(t2)
+            if t * t != t2:
+                continue
+            for ts in ({t, -t} if t else {0}):
+                if field.half_basis:
+                    if (ts - y) % 2:
+                        continue
+                    e = field.element((ts - y) // 2, y)
+                else:
+                    e = field.element(ts, y)
+                if ideal.contains(e):
+                    return True, e
+    return False, None
+
+
 def _finder_class_arith(field: FieldSpec):
     """(classes, mul, principal) for the classes of one field's sub-boxes,
     independent of the library's walk.  Imaginary fields and Q use vectors
     in Cl(K) (class_group), read off each prime's (p, b): products add them
     and the principal class is 0; a split prime's conjugate, next to it in
     a factorization, gets the negated vector.  Real fields use HNFs,
-    ideal_mul and the principality test."""
-    from atomzeta.classgroup import class_group, is_principal_class
+    ideal_mul and the unit-band scan, which shares no code with the cycle
+    class group."""
+    from atomzeta.classgroup import class_group
     from atomzeta.ideals import ideal_mul
 
     if field.is_real:
-        return (lambda primes: [prime.ideal for prime in primes]), ideal_mul, is_principal_class
+        return (
+            (lambda primes: [prime.ideal for prime in primes]),
+            ideal_mul,
+            lambda ideal: principal_by_unit_band(ideal)[0],
+        )
     group = class_group(field)
     vector, neg = group.prime_vector, group.neg
 

@@ -91,10 +91,9 @@ def test_factor_into_atoms_matches_scan_oracle():
 
 
 def test_d79_atoms_match_oracles_past_the_scan_cap():
-    # h = 3 and eps = 80 + 9 sqrt(79): a non-principal ideal of norm above
-    # about 3 * 10^7 has its generator-scan bound past the cap.  The primes
-    # above q = 5501 and r = 5507 are non-principal; (q) = Q Q' and (q r)
-    # must be factored without deciding Q'^2 or Q R' on a scan of their own
+    # h = 3 and eps = 80 + 9 sqrt(79): the primes above q = 5501 and
+    # r = 5507 are non-principal, and (q) = Q Q' and (q r) have sub-products
+    # of norm about 3 * 10^7, past the reach of a unit-band scan (y > 10^5)
     f = make_field(79)
     table = reps_by_norm(f, 60)
     for reps in table.values():

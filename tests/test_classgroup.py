@@ -6,7 +6,6 @@ import pytest
 
 from atomzeta.classgroup import (
     AbelianGroupSpec,
-    _inverse_reduced,
     QuadForm,
     class_group,
     class_group_structure,
@@ -21,7 +20,7 @@ from atomzeta.classgroup import (
     principal_form,
     reduce_form,
 )
-from atomzeta.errors import CapExceededError, RealFieldError
+from atomzeta.errors import CapExceededError, DomainError
 from atomzeta.ideals import ideal_mul, primes_above, principal_ideal
 from atomzeta.ring import is_associated, is_squarefree, make_field
 from oracles import (
@@ -30,6 +29,7 @@ from oracles import (
     form_pow,
     hnf_triples_brute,
     primes_trial,
+    principal_by_unit_band,
     reduced_forms,
     reduced_forms_brute,
 )
@@ -46,6 +46,19 @@ def test_reduce_form_examples():
     assert reduce_form(QuadForm(2, 2, 3)).disc == -20
     f = reduce_form(QuadForm(3, 1, 2))
     assert f.is_reduced() and f.disc == -23
+    # indefinite: rho reaches a reduced form, and one more step gives a > 0
+    f = reduce_form(QuadForm(-7, 0, 1))
+    assert f.is_reduced() and f.disc == 28 and f.a > 0
+    assert not QuadForm(1, 5, 1).is_reduced() and QuadForm(2, 4, -1).is_reduced()
+
+
+def test_reduce_form_refuses_square_discriminant():
+    # rho never reaches a reduced form of square D; refused at once
+    for f in (QuadForm(1, 3, 2), QuadForm(2, 4, 2), QuadForm(0, 1, 5)):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="square discriminant"):
+            reduce_form(f)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_reduced_forms_known_class_numbers():
@@ -149,19 +162,43 @@ def test_is_principal_agrees_with_generator_search():
                 assert gen is not None and principal_ideal(gen) == ideal
             else:
                 assert gen is None
-            if not f.is_real:
-                assert ok == is_principal_class(ideal)
+            assert ok == is_principal_class(ideal)
 
 
-def test_inverse_reduced_is_small_and_in_the_inverse_class():
-    # K has norm <= sqrt(D/3) and I K is principal, so I and K are both
-    # principal or both not (d = 79 has h = 3, d = 10 and 15 have h = 2)
-    for f in (make_field(2), make_field(3), make_field(10), make_field(15), make_field(79)):
-        for ideal in hnf_triples_brute(f, 150):
-            k = _inverse_reduced(ideal)
-            assert 3 * k.norm**2 <= f.disc, (f.d, ideal)
-            assert is_principal(ideal_mul(ideal, k))[0], (f.d, ideal)
-            assert is_principal(k)[0] == is_principal(ideal)[0], (f.d, ideal)
+def test_real_field_classes_match_unit_band_oracle():
+    # the rho-cycle class group and walk against the unit-band scan, which
+    # shares no code with them; N(eps) = +1 for d = 3, 6, 7, 15, 34, 79,
+    # where a narrow class group would split every class in two
+    for d in (2, 3, 5, 6, 7, 10, 15, 34, 79, 82, 226, 229, 401):
+        f = make_field(d)
+        group = class_group(f)
+        ideals = hnf_triples_brute(f, 120)
+        for ideal in ideals:
+            expected = principal_by_unit_band(ideal)[0]
+            ok, gen = is_principal(ideal)
+            assert ok == expected == is_principal_class(ideal), (d, ideal)
+            assert (not any(group.vector(ideal))) == expected, (d, ideal)
+            assert gen is None if not ok else principal_ideal(gen) == ideal, (d, ideal)
+        # a homomorphism whose kernel is the principal ideals: one vector per class
+        for i in ideals[:40]:
+            for j in ideals[:40]:
+                assert group.vector(ideal_mul(i, j)) == group.add(
+                    group.vector(i), group.vector(j)
+                ), (d, i, j)
+        assert len({group.vector(i) for i in ideals}) == class_number(f), d
+
+
+def test_real_class_group_near_1e9_is_fast():
+    # about 2 * 10^4 to 6 * 10^4 keyed forms each
+    for d, invariants in ((999999937, ()), (934285249, (2,)), (962494814, (2, 2, 2))):
+        f = make_field(d)
+        start = time.perf_counter()
+        group = class_group(f)
+        assert time.perf_counter() - start < 2.0, d
+        assert group.invariants == invariants, d
+        for p in primes_trial(200):
+            for prime in primes_above(p, f):
+                assert group.prime_vector(prime) == group.vector(prime.ideal), (d, p)
 
 
 def test_real_field_principality_examples():
@@ -184,8 +221,11 @@ def test_class_number_examples():
     assert class_number(F5) == 2
     assert class_number(F23) == 3
     assert class_number(make_field(-47)) == 5
-    with pytest.raises(RealFieldError):
-        class_number(make_field(2))
+    # real fields: the wide class group (a narrow one reads 2 for d = 3, 6, 7)
+    for ds, h in (((2, 3, 5, 6, 7), 1), ((10, 15, 34), 2), ((79,), 3), ((82,), 4),
+                  ((401,), 5), ((226,), 8)):
+        for d in ds:
+            assert class_number(make_field(d)) == h, d
 
 
 def test_class_group_structure_examples():

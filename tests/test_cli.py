@@ -126,30 +126,48 @@ def test_ring_real_unit_beyond_str_limit_exit_2(capsys):
     assert elapsed < 2.0
 
 
-def test_real_field_generator_scan_over_cap_exit_2(capsys):
-    # the y bound of the scan grows with the fundamental unit: about 10^860
-    # for d = 1000081 and 10^22 for d = 631, against a cap of 10^5
+def test_real_field_large_unit_commands_exit_0(capsys):
+    # principality by a rho-walk costs O(period), not O(eps): eps has about
+    # 860 digits for d = 1000081 and 23 for d = 631, and no command is refused
     for argv in (
-        ("factor", "-d", "1000081", "3"),
-        ("zeta", "-d", "1000081", "--aset", "atoms-dividing:primes", "--s", "1", "--kappa", "10"),
         ("factor", "-d", "631", "3"),
+        ("factor", "-d", "631", "5,1"),
+        ("factor", "-d", "1000081", "3"),
+        ("zeta", "-d", "631", "--aset", "atoms-dividing:primes", "--s", "1", "--kappa", "50"),
+        ("zeta", "-d", "1000081", "--aset", "atoms-dividing:primes", "--s", "1", "--kappa", "10"),
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0, argv
-        assert code == 2 and not out, argv
-        assert "y <= 100000, the generator-scan cap" in err, argv
-    # Q(sqrt 94) has h = 1 and a band reaching y = 3,094,897 for the norm 49 of
-    # (7), but the scan finds its generator long before the cap
+        assert code == 0 and out and not err, argv
+        if argv[0] == "factor" and "," not in argv[-1]:
+            assert out.endswith("-> OK\n"), argv
+    # Q(sqrt 94) has h = 1 and eps = 2143295 + 221064 sqrt(94); (7) is an atom
     code, out, err = run_cli(capsys, "factor", "-d", "94", "7")
     assert code == 0 and not err
     assert "atom: 7  exponent 1  ideal norm 49\n" in out
 
 
+def test_factor_atom_beyond_str_limit_exit_2(capsys):
+    # h = 1, so 3 splits into principal primes whose canonical generators,
+    # like eps, have about 13,000 digits; refused before anything is printed
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "factor", "-d", "999999937", "3")
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert elapsed < 5.0
+    assert code == 2 and not out
+    assert "an atom or the unit has more than 4300 digits" in err
+
+
 def test_real_field_factor_past_the_scan_cap_exit_0():
     # Q(sqrt 79), h = 3: the primes above 5501 and 5507 are non-principal,
-    # and Q'^2 or Q R' (norm about 3 * 10^7) would pass the scan cap; a
-    # fresh process each, so no earlier call has met the field
+    # and Q'^2 or Q R' have norm about 3 * 10^7; a fresh process each, so
+    # no earlier call has met the field
     for n, atoms in (("5501", ["5501"]), ("30294007", ["5501", "5507"])):
         proc = subprocess.run(
             [sys.executable, "-m", "atomzeta.cli", "factor", "-d", "79", n],
