@@ -176,8 +176,12 @@ def ideal_to_form(ideal: Ideal) -> QuadForm:
 
 
 def form_to_ideal(f: QuadForm, field: FieldSpec) -> Ideal:
-    if not field.is_imaginary or f.disc != field.disc:
+    """<a, B + w> with B read off b, for a form with a > 0 (any form of a
+    real class has a properly equivalent one with a > 0)."""
+    if field.is_rational or f.disc != field.disc:
         raise DomainError("form discriminant does not match the field")
+    if f.a <= 0:
+        raise DomainError(f"form_to_ideal needs a > 0, not a = {f.a}")
     a, b = f.a, f.b
     if field.half_basis:
         bb = ((-b - 1) // 2) % a
@@ -224,7 +228,8 @@ def _principal_real(ideal: Ideal) -> tuple[bool, RingElement | None]:
     column (x, y) of M has f(x, y) = +-1, so x a - y (b + c w) is a
     generator.  Once reduced, the walk runs through every reduced form
     properly equivalent to f, among them a (+-1, b, c) if f represents +-1:
-    if the cycle closes first, I is not principal."""
+    if the cycle closes first, I is not principal.  is_principal asks only
+    for an ideal of the principal class, read off class_group first."""
     disc = ideal.field.disc
     s = isqrt(disc)
     a, b, c = ideal_to_form(ideal)
@@ -249,11 +254,12 @@ def is_principal(ideal: Ideal) -> tuple[bool, RingElement | None]:
         return True, field.element(ideal.a)
     if ideal.is_unit_ideal():
         return True, field.one
-    if field.is_real:
-        return _principal_real(ideal)
     if not is_principal_class(ideal):
         return False, None
-    e = next(_generator_candidates(ideal), None)
+    if field.is_real:
+        e = _principal_real(ideal)[1]
+    else:
+        e = next(_generator_candidates(ideal), None)
     if e is None:
         raise InternalInvariantError("principal class but no generator found")
     return True, e
@@ -320,7 +326,7 @@ class ClassGroup:
         0 otherwise, as in ideal_to_form."""
         if prime.f == 2 or not self.invariants:
             return (0,) * len(self.invariants)
-        p, disc = prime.p, self.identity.disc
+        p, disc = prime.p, prime.field.disc
         big_b = -(2 * prime.b + (disc & 1))
         c = (big_b * big_b - disc) // (4 * p)
         vec = self.coords.get(_reduce(p, big_b, c) if disc < 0 else _reduce_real(p, big_b, c, disc))

@@ -246,9 +246,9 @@ def _primes_above(p: int, field: FieldSpec) -> list[PrimeIdeal]:
     """primes_above for a p already certified prime by a sieve or factorint,
     in order of b.  A prime of degree 1 is <p, b + w> with -b a root of the
     minimal polynomial of w modulo p."""
-    if field.is_rational:
-        return [PrimeIdeal(field, p, "rational", 0, 1)]
     d = field.d
+    if d is None:
+        return [PrimeIdeal(field, p, "rational", 0, 1)]
     if p == 2:
         if field.half_basis:  # d = 1 mod 8: split (roots 0, 1); 5 mod 8: inert
             if d % 8 == 5:
@@ -268,6 +268,34 @@ def _primes_above(p: int, field: FieldSpec) -> list[PrimeIdeal]:
     if b0 > b1:
         b0, b1 = b1, b0
     return [PrimeIdeal(field, p, "split", b0, 1), PrimeIdeal(field, p, "split", b1, 1)]
+
+
+def _split_upto(field: FieldSpec, kappa: int):
+    """The primes above p of norm <= kappa, for each prime p <= kappa in
+    order, skipping an inert p with p^2 > kappa.
+
+    For a fundamental discriminant D, (D | p) depends only on p mod |D|
+    (quadratic reciprocity; Cohen, GTM 138), so a residue found inert once
+    answers every later prime with it, with no square root.  The table is
+    kept only when |D| < kappa: else no two primes <= kappa share a
+    residue.  The sieve runs first, so its cap fires before the table is
+    allocated, and the table is then never more than twice the sieve's
+    mask."""
+    primes = primes_upto(kappa)
+    m = abs(field.disc)
+    inert = bytearray(m) if m < kappa else None
+    for p in primes:
+        if inert is not None and inert[p % m]:
+            if p * p <= kappa:
+                yield [PrimeIdeal(field, p, "inert", 0, 2)]
+            continue
+        above = _primes_above(p, field)
+        if above[0].f == 2:
+            if inert is not None:
+                inert[p % m] = 1
+            if p * p > kappa:
+                continue
+        yield above
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +376,7 @@ def _prime_pool(field: FieldSpec, kappa: int) -> list[PrimeIdeal]:
     adjacent, in order of b."""
     if kappa < 1:
         raise DomainError("kappa must be >= 1")
-    pool = [
-        prime
-        for p in primes_upto(kappa)
-        for prime in _primes_above(p, field)
-        if prime.norm <= kappa
-    ]
+    pool = [prime for above in _split_upto(field, kappa) for prime in above]
     pool.sort(key=attrgetter("norm"))
     return pool
 

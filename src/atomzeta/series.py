@@ -26,7 +26,7 @@ from atomzeta.ideals import (
     Ideal,
     _factor_rational,
     _prime_pool,
-    _primes_above,
+    _split_upto,
 )
 from atomzeta.ring import FieldSpec
 from atomzeta.sieve import SIEVE_LIMIT, factorint, primes_upto
@@ -174,10 +174,8 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
         # the atoms dividing m are the primes above m if they are principal,
         # else (m)
         group = class_group(field)
-        for m in primes_upto(kappa):
-            primes = _primes_above(m, field)
-            if primes[0].norm > kappa:  # inert, of norm m^2
-                continue
+        for primes in _split_upto(field, kappa):
+            m = primes[0].p
             if not any(group.prime_vector(primes[0])):
                 for prime in primes:
                     yield prime.norm, m, ((prime, 1),)

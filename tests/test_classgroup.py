@@ -7,6 +7,7 @@ import pytest
 from atomzeta.classgroup import (
     AbelianGroupSpec,
     QuadForm,
+    _principal_real,
     class_group,
     class_group_structure,
     class_number,
@@ -118,6 +119,22 @@ def test_ideal_form_round_trip():
             assert ideal_class_form(back) == ideal_class_form(ideal)
 
 
+def test_form_to_ideal_real_round_trip():
+    # every keyed form (a > 0) of every class maps to an ideal of its class;
+    # real class forms compare through vectors, as reduce_form's form
+    # depends on where rho enters the cycle
+    for d in (10, 79, 223, 2):
+        f = make_field(d)
+        group = class_group(f)
+        assert len(set(group.coords.values())) == class_number(f), d
+        for q, vec in group.coords.items():
+            assert group.vector(form_to_ideal(QuadForm(*q), f)) == vec, (d, q)
+    f10 = make_field(10)
+    assert form_to_ideal(class_group(f10).identity, f10).norm == 1
+    with pytest.raises(DomainError, match="a > 0, not a = -3"):
+        form_to_ideal(QuadForm(-3, 2, 3), f10)
+
+
 def test_ideal_class_form_is_class_invariant():
     # multiplying by a principal ideal never moves the class
     rng = random.Random(37)
@@ -177,6 +194,9 @@ def test_real_field_classes_match_unit_band_oracle():
             expected = principal_by_unit_band(ideal)[0]
             ok, gen = is_principal(ideal)
             assert ok == expected == is_principal_class(ideal), (d, ideal)
+            # is_principal reads the class vector first, so the walk's own
+            # closed-cycle answer is checked here directly
+            assert _principal_real(ideal)[0] == expected, (d, ideal)
             assert (not any(group.vector(ideal))) == expected, (d, ideal)
             assert gen is None if not ok else principal_ideal(gen) == ideal, (d, ideal)
         # a homomorphism whose kernel is the principal ideals: one vector per class
@@ -199,6 +219,17 @@ def test_real_class_group_near_1e9_is_fast():
         for p in primes_trial(200):
             for prime in primes_above(p, f):
                 assert group.prime_vector(prime) == group.vector(prime.ideal), (d, p)
+
+
+def test_real_non_principal_read_off_class_vector():
+    # the rho-cycle of the prime above 2 in Q(sqrt 934285249) (h = 2) is
+    # long (walking it takes about 0.7 s); the class vector answers at once
+    f = make_field(934285249)
+    class_group(f)
+    p2 = primes_above(2, f)[0].ideal
+    start = time.perf_counter()
+    assert is_principal(p2) == (False, None)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_real_field_principality_examples():

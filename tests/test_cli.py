@@ -325,6 +325,14 @@ ZETA_GOLDEN = {
     ("Q", "atoms-dividing:list:6,29,36"): "0cdda9e220aaa2608a50587df31aadca2a19eb8d56cefb7aa6f884c57715705a",
     ("Q", "prime-ideals"): "2ac90fafe1bb9a5a1b58fabf0b8efdc80225d4ae6d7919d4ebee6f5ea635dfc7",
     ("Q", "all-atoms"): "b94af796f368cfeb8af87c5649c8b8b75d6dbca6c16963619e1c3d14afd82b6b",
+    # d = -3, 5, -11: 2 is inert and shares its residue mod |D| with odd
+    # primes; captured before inert primes were read off a residue table
+    ("-3", "atoms-dividing:primes"): "31525b60938dda1db052adca52b180bb1b8863d03791a0393f2b1322ce4a890f",
+    ("-3", "prime-ideals"): "84d48e17747271ea7bb9ef6387c765a7bbb046c5f331556be18e2045ef4c64d7",
+    ("5", "atoms-dividing:primes"): "1569feb95cf7ec11660ad1d71bd515d67a430c5813b0b60e398d7fe2d120f253",
+    ("5", "prime-ideals"): "5cb68b3a7315723d21dbc7ec1f2698b3d990859172ef980baa163ce6f55a2664",
+    ("-11", "atoms-dividing:primes"): "5c70b3994702481b25ba07b4e35427f628eba8bf22ae2e544b09f1bfbc8ff3fe",
+    ("-11", "prime-ideals"): "5b2dc82372f59e401ea91117f1e74392a1df616719f3877341d808f49bf9b583",
 }
 
 
@@ -422,10 +430,18 @@ def test_kappa_inf_exit_2(capsys):
 
 
 def test_kappa_above_sieve_limit_exit_2(capsys):
-    for kappa in ("9007199254740993", "100000001"):
+    # for d = +-999999937, |D| is about 4e9 < kappa = 1e10: the sieve's cap
+    # must fire before a table of residues mod |D| is allocated
+    cases = [
+        ("-5", "9007199254740993"),
+        ("-5", "100000001"),
+        ("999999937", "1e10"),
+        ("-999999937", "1e10"),
+    ]
+    for d, kappa in cases:
         start = time.perf_counter()
         code, out, err = run_cli(
-            capsys, "zeta", "-d", "-5", "--aset", "prime-ideals", "--s", "1", "--kappa", kappa
+            capsys, "zeta", "-d", d, "--aset", "prime-ideals", "--s", "1", "--kappa", kappa
         )
         assert time.perf_counter() - start < 1.0
         assert code == 2 and not out
@@ -470,6 +486,10 @@ CENSUS_GOLDEN = {
     "-23": "79f21532d9fd365075b2afb677185e2e7c746925b71cae8db116859ab10cb8a3",
     "-105": "a160998be1ecb53cfb686e398586fa57e24879596b105274cbc18985593e8450",
     "Q": "84e8fdab3ffb56aed4a57929ae661563a19f70e42af63bf24bb8b5494e844545",
+    # 2 inert, sharing its residue mod |D|; captured before inert primes
+    # were read off a residue table
+    "-3": "b9239904b00bdba2cf2ad4aadabbb1f66e8c5cb91412a43a5587a1f1933a7608",
+    "-11": "8e4e23cc619b65b569536b3971818e1d9db80c4cccfbd1a6e0f41b36ff856a03",
 }
 
 

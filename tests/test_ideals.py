@@ -7,6 +7,7 @@ from atomzeta.ideals import (
     FactoredIdeal,
     Ideal,
     _primes_above,
+    _split_upto,
     enumerate_ideals_factored,
     factor_ideal,
     ideal_mul,
@@ -138,6 +139,26 @@ def test_primes_above_matches_brute_oracle():
         -23: [("split", 0, 1), ("split", 1, 1)],
         -3: [("inert", 0, 2)], 5: [("inert", 0, 2)],
     }
+
+
+def test_split_upto_matches_per_prime_splitting():
+    # the residue table mod |D| against primes_above p by p, cut to norm
+    # <= kappa (an inert p with p^2 > kappa leaves nothing), at kappa on both sides of |D| (the table is kept only when
+    # |D| < kappa) and at kappa = 23^2, an inert p^2 read off the table for
+    # d = -3 and 5.  For d = 5 (mod 8), 2 is inert and, when |D| is odd,
+    # shares residue 2 with the odd primes p = 2 (mod |D|)
+    fields = [make_field(d) for d in (-3, 5, -11, 13, -1, -5, -14, -23, -221, 2, 10, 79, 631,
+                                      999999937, -999999937)] + [rational_field()]
+    for f in fields:
+        m = abs(f.disc)
+        kappas = {k for k in (m - 1, m, m + 1, 3 * m + 7, 529, 10**4) if 1 <= k <= 10**5}
+        above = {p: primes_above(p, f) for p in primes_upto(max(kappas))}
+        for kappa in sorted(kappas):
+            want = [[prime for prime in above[p] if prime.norm <= kappa] for p in primes_upto(kappa)]
+            assert list(_split_upto(f, kappa)) == [primes for primes in want if primes], (
+                f.label(),
+                kappa,
+            )
 
 
 def test_prime_hnf_oracle_matches_maximal_hnfs():
