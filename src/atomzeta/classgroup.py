@@ -4,9 +4,9 @@ Every field gets one ClassGroup, built from prime forms, with a vector in
 the sum of Z/m_i for every class.  An imaginary class holds one reduced
 form.  A real class (of the wide group) holds the reduced forms on the
 rho-cycles of f and of (-a, b, -c), and each of them with a > 0 is keyed
-to its vector; real principality walks one rho-cycle for a generator
-(Cohen, GTM 138, sections 5.6-5.8; Buchmann & Vollmer, Binary Quadratic
-Forms, 2007).
+to its vector.  Principality is read off the vector, and a generator comes
+from one rho-walk in every field (Cohen, GTM 138, sections 5.6-5.8;
+Buchmann & Vollmer, Binary Quadratic Forms, 2007).
 """
 
 from __future__ import annotations
@@ -34,14 +34,8 @@ class QuadForm(NamedTuple):
         return self.b * self.b - 4 * self.a * self.c
 
     def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if a * c < 0:  # D > 0, and no other form of D > 0 is reduced
-            return _is_reduced_real(a, b, isqrt(self.disc))
-        if not (abs(b) <= a <= c):
-            return False
-        if (abs(b) == a or a == c) and b < 0:
-            return False
-        return True
+        a, b, c = self
+        return _is_reduced(a, b, c, isqrt(self.disc) if a * c < 0 else 0)
 
     def opposite(self) -> "QuadForm":
         return QuadForm(self.a, -self.b, self.c)
@@ -52,8 +46,23 @@ def principal_form(disc: int) -> QuadForm:
     return QuadForm(1, k, (k * k - disc) // 4)
 
 
-def _reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """The reduction loop on plain integers (a > 0, negative discriminant)."""
+def _is_reduced(a: int, b: int, c: int, s: int) -> bool:
+    """|b| <= a <= c, with b >= 0 if |b| = a or a = c, for D < 0; for D > 0
+    (not a square) and s = isqrt(D), |sqrt(D) - 2|a|| < b < sqrt(D)."""
+    if a * c < 0:  # D > 0, and no other form of D > 0 is reduced
+        return 0 < b <= s and s - b < 2 * abs(a) <= s + b
+    return abs(b) <= a <= c and not (b < 0 and (-b == a or a == c))
+
+
+def _reduce(a: int, b: int, c: int, disc: int) -> tuple[int, int, int]:
+    """The reduced form of (a, b, c) on plain integers (a > 0 if D < 0).
+    For D > 0, rho until reduced, and once more if a < 0: the reduced forms
+    have ac < 0, so a changes sign at every step of a cycle."""
+    if disc > 0:
+        s = isqrt(disc)
+        while not _is_reduced(a, b, c, s):
+            a, b, c = _rho(a, b, c, disc, s)
+        return _rho(a, b, c, disc, s) if a < 0 else (a, b, c)
     while True:
         if b <= -a or b > a:
             r = (a - b) // (2 * a)  # b + 2ra lands in (-a, a]
@@ -66,14 +75,10 @@ def _reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
         return a, b, c
 
 
-def _is_reduced_real(a: int, b: int, s: int) -> bool:
-    """|sqrt(D) - 2|a|| < b < sqrt(D) for s = isqrt(D), D not a square."""
-    return 0 < b <= s and s - b < 2 * abs(a) <= s + b
-
-
 def _rho(a: int, b: int, c: int, disc: int, s: int) -> tuple[int, int, int]:
     """rho(a, b, c) = (c, r, (r^2 - D)/4c) = f o [[0, -1], [1, t]] for
-    r = 2ct - b in (-|c|, |c|] if c^2 > D, else in (s - 2|c|, s]."""
+    r = 2ct - b in (-|c|, |c|] if c^2 > D (always when D < 0; then s is
+    unused), else in (s - 2|c|, s]."""
     m = 2 * abs(c)
     if c * c > disc:
         r = -b % m
@@ -82,15 +87,6 @@ def _rho(a: int, b: int, c: int, disc: int, s: int) -> tuple[int, int, int]:
     else:
         r = s - (s + b) % m
     return c, r, (r * r - disc) // (4 * c)
-
-
-def _reduce_real(a: int, b: int, c: int, disc: int) -> tuple[int, int, int]:
-    """rho until reduced, and once more if a < 0: the reduced forms have
-    ac < 0, so a changes sign at every step of a cycle."""
-    s = isqrt(disc)
-    while not _is_reduced_real(a, b, s):
-        a, b, c = _rho(a, b, c, disc, s)
-    return _rho(a, b, c, disc, s) if a < 0 else (a, b, c)
 
 
 def _wide_class(f: tuple[int, int, int], disc: int) -> list[tuple[int, int, int]]:
@@ -112,11 +108,14 @@ def _wide_class(f: tuple[int, int, int], disc: int) -> list[tuple[int, int, int]
 
 def reduce_form(f: QuadForm) -> QuadForm:
     """The reduced form of f; for D > 0, the one with a > 0 that rho
-    reaches first.  A square D (the form factors over Q) is refused."""
+    reaches first.  A square D (the form factors over Q) and a negative
+    definite form are refused."""
     disc = f.disc
     if disc >= 0 and isqrt(disc) ** 2 == disc:
         raise DomainError("forms of square discriminant have no reduction")
-    out = QuadForm(*(_reduce(*f) if disc < 0 else _reduce_real(*f, disc)))
+    if disc < 0 and f.a < 0:
+        raise DomainError("negative definite forms have no reduction")
+    out = QuadForm(*_reduce(*f, disc))
     if not out.is_reduced():
         raise InternalInvariantError("reduction did not terminate in a reduced form")
     return out
@@ -154,22 +153,23 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
 # ideal <-> form
 
 
+def _form(a: int, b: int, disc: int) -> tuple[int, int, int]:
+    """The form N(x a - y (b + w)) / a of <a, b + w>: (a, B, (B^2 - D)/4a)
+    with B = -(2b + t), t = 1 in the basis w = (1 + sqrt(d))/2 (D odd) and
+    0 otherwise.  B is negated so that form_to_ideal inverts this map
+    exactly (rather than landing in the conjugate class)."""
+    big_b = -(2 * b + (disc & 1))
+    return a, big_b, (big_b * big_b - disc) // (4 * a)
+
+
 def ideal_to_form(ideal: Ideal) -> QuadForm:
-    """N(x a - y (b + c w)) / N(I) for I = <a, b + c w> in HNF."""
+    """N(x a - y (b + c w)) / N(I) for I = <a, b + c w> = (c) <a/c, b/c + w>
+    in HNF: the form of the primitive part."""
     field = ideal.field
-    a, b, c = ideal.a, ideal.b, ideal.c
-    n = a * c
-    # the middle coefficient is negated so that form_to_ideal inverts this
-    # map exactly (rather than landing in the conjugate class)
-    if field.half_basis:
-        qa = a // c
-        qb = -((2 * b + c) // c)
-        qc = (b * b + b * c + c * c * (1 - field.d) // 4) // n
-    else:
-        qa = a // c
-        qb = -(2 * b // c)
-        qc = (b * b - field.d * c * c) // n
-    form = QuadForm(qa, qb, qc)
+    if field.is_rational:
+        raise DomainError("Q has no binary quadratic forms")
+    c = ideal.c
+    form = QuadForm(*_form(ideal.a // c, ideal.b // c, field.disc))
     if form.disc != field.disc:
         raise InternalInvariantError("ideal-to-form discriminant mismatch")
     return form
@@ -197,48 +197,28 @@ def ideal_class_form(ideal: Ideal) -> QuadForm:
 # ---------------------------------------------------------------------------
 # principality
 
-def _generator_candidates(ideal: Ideal):
-    """Elements of I of norm N(I) in an imaginary field, complete up to
-    sign: the solutions of (2x + y)^2 - d y^2 = 4N (x^2 - d y^2 = N when
-    w = sqrt(d)) with 0 <= y inside the ellipse, signs of x handled per y."""
-    field = ideal.field
-    n, d = ideal.norm, field.d
-    scale = 4 if field.half_basis else 1
-    for y in range(isqrt(scale * n // -d) + 1):
-        t2 = scale * n + d * y * y
-        t = isqrt(t2)
-        if t * t != t2:
-            continue
-        for ts in ({t, -t} if t else {0}):
-            if field.half_basis:
-                if (ts - y) % 2:
-                    continue
-                e = field.element((ts - y) // 2, y)
-            else:
-                e = field.element(ts, y)
-            if ideal.contains(e):
-                yield e
-
-
-def _principal_real(ideal: Ideal) -> tuple[bool, RingElement | None]:
-    """is_principal on a real field by one rho-walk from f = ideal_to_form(I).
+def _principal_walk(ideal: Ideal) -> tuple[bool, RingElement | None]:
+    """is_principal in any field by one rho-walk from f = ideal_to_form(I).
 
     The walk keeps M in SL2(Z) with f o M the current form; a rho step
     multiplies M by [[0, -1], [1, t]].  At a form (+-1, b, c), the first
     column (x, y) of M has f(x, y) = +-1, so x a - y (b + c w) is a
     generator.  Once reduced, the walk runs through every reduced form
     properly equivalent to f, among them a (+-1, b, c) if f represents +-1:
-    if the cycle closes first, I is not principal.  is_principal asks only
-    for an ideal of the principal class, read off class_group first."""
+    if the cycle closes first, I is not principal.  For D < 0, rho is the
+    swap-and-normalize step, so the walk reaches the one reduced form of
+    the class in O(log N(I)) steps and its cycle has length at most 2.
+    is_principal asks only for an ideal of the principal class, read off
+    class_group first."""
     disc = ideal.field.disc
-    s = isqrt(disc)
+    s = isqrt(disc) if disc > 0 else 0
     a, b, c = ideal_to_form(ideal)
     x, y, u, v = 1, 0, 0, 1  # the columns (x, y) and (u, v) of M
     start = None
     while abs(a) != 1:
         if (a, b, c) == start:
             return False, None
-        if start is None and _is_reduced_real(a, b, s):
+        if start is None and _is_reduced(a, b, c, s):
             start = (a, b, c)
         a, r, c = _rho(a, b, c, disc, s)
         t = (r + b) // (2 * a)  # the new a is the old c
@@ -256,10 +236,7 @@ def is_principal(ideal: Ideal) -> tuple[bool, RingElement | None]:
         return True, field.one
     if not is_principal_class(ideal):
         return False, None
-    if field.is_real:
-        e = _principal_real(ideal)[1]
-    else:
-        e = next(_generator_candidates(ideal), None)
+    e = _principal_walk(ideal)[1]
     if e is None:
         raise InternalInvariantError("principal class but no generator found")
     return True, e
@@ -321,15 +298,11 @@ class ClassGroup:
 
     def prime_vector(self, prime: PrimeIdeal) -> tuple[int, ...]:
         """vector(prime.ideal) from (p, b) alone.  An inert prime is (p),
-        principal; <p, b + w> maps to the form (p, B, (B^2 - D)/4p) with
-        B = -(2b + t), t = 1 in the basis w = (1 + sqrt(d))/2 (D odd) and
-        0 otherwise, as in ideal_to_form."""
+        principal; <p, b + w> maps to the form of ideal_to_form."""
         if prime.f == 2 or not self.invariants:
             return (0,) * len(self.invariants)
-        p, disc = prime.p, prime.field.disc
-        big_b = -(2 * prime.b + (disc & 1))
-        c = (big_b * big_b - disc) // (4 * p)
-        vec = self.coords.get(_reduce(p, big_b, c) if disc < 0 else _reduce_real(p, big_b, c, disc))
+        disc = prime.field.disc
+        vec = self.coords.get(_reduce(*_form(prime.p, prime.b, disc), disc))
         if vec is None:
             raise InternalInvariantError("prime form reduced to no class of the group")
         return vec

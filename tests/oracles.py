@@ -419,25 +419,31 @@ def factor_scan(e: RingElement):
 
 
 def principal_by_unit_band(ideal, cap: int = 10**5):
-    """(True, generator) or (False, None) for an ideal of a real field, by a
-    scan of the fundamental-unit band, independent of the cycle class group.
+    """(True, generator) or (False, None) for an ideal of a quadratic field,
+    by a scan of the fundamental-unit band, independent of the class group
+    and of the rho-walk.
 
     The candidates are the solutions of (2x + y)^2 - d y^2 = +-4N
     (x^2 - d y^2 = +-N when w = sqrt(d)) with 0 <= y <= bound, signs of x
-    handled per y.  Any generator has an associate in the band
-    [sqrt(N), eps*sqrt(N)) of the positive embedding (after a sign flip);
-    there |sigma| < eps*sqrt(N) and |sigma-bar| <= sqrt(N), hence
+    handled per y.  In a real field any generator has an associate in the
+    band [sqrt(N), eps*sqrt(N)) of the positive embedding (after a sign
+    flip); there |sigma| < eps*sqrt(N) and |sigma-bar| <= sqrt(N), hence
     |y|*sqrt(d) <= (1 + eps)*sqrt(N).  As |N(eps)| = 1, eps < Tr(eps) + 1,
-    so y^2 <= (Tr(eps) + 2)^2 * N / d.  For fields with a small eps only: a
-    bound past cap raises ValueError."""
+    so y^2 <= (Tr(eps) + 2)^2 * N / d.  In an imaginary field the units are
+    finite, the norm is +N and the band is the whole ellipse -d y^2 <= 4N
+    (<= N when w = sqrt(d)).  For small eps and N only: a bound past cap
+    raises ValueError."""
     field = ideal.field
     n, d = ideal.norm, field.d
     scale = 4 if field.half_basis else 1
-    bound = isqrt((fundamental_unit(field).trace() + 2) ** 2 * n // d)
+    if field.is_real:
+        bound, targets = isqrt((fundamental_unit(field).trace() + 2) ** 2 * n // d), (n, -n)
+    else:
+        bound, targets = isqrt(scale * n // -d), (n,)
     if bound > cap:
         raise ValueError(f"unit-band scan of {ideal} needs y <= {bound}, past {cap}")
     for y in range(bound + 1):
-        for target in (n, -n):
+        for target in targets:
             t2 = scale * target + d * y * y
             if t2 < 0:
                 continue

@@ -7,7 +7,7 @@ import pytest
 from atomzeta.classgroup import (
     AbelianGroupSpec,
     QuadForm,
-    _principal_real,
+    _principal_walk,
     class_group,
     class_group_structure,
     class_number,
@@ -23,7 +23,7 @@ from atomzeta.classgroup import (
 )
 from atomzeta.errors import CapExceededError, DomainError
 from atomzeta.ideals import ideal_mul, primes_above, principal_ideal
-from atomzeta.ring import is_associated, is_squarefree, make_field
+from atomzeta.ring import is_associated, is_squarefree, make_field, rational_field
 from oracles import (
     class_invariants_by_counting,
     davenport_brute,
@@ -54,10 +54,17 @@ def test_reduce_form_examples():
 
 
 def test_reduce_form_refuses_square_discriminant():
-    # rho never reaches a reduced form of square D; refused at once
-    for f in (QuadForm(1, 3, 2), QuadForm(2, 4, 2), QuadForm(0, 1, 5)):
+    # rho never reaches a reduced form of square D; refused at once, as is a
+    # negative definite form (no ideal's form), which is no internal error
+    for f, why in (
+        (QuadForm(1, 3, 2), "square discriminant"),
+        (QuadForm(2, 4, 2), "square discriminant"),
+        (QuadForm(0, 1, 5), "square discriminant"),
+        (QuadForm(-1, 0, -1), "negative definite"),
+        (QuadForm(-6, 10, -5), "negative definite"),
+    ):
         start = time.perf_counter()
-        with pytest.raises(DomainError, match="square discriminant"):
+        with pytest.raises(DomainError, match=why):
             reduce_form(f)
         assert time.perf_counter() - start < 0.1
 
@@ -135,6 +142,14 @@ def test_form_to_ideal_real_round_trip():
         form_to_ideal(QuadForm(-3, 2, 3), f10)
 
 
+def test_ideal_form_maps_refuse_q():
+    q = rational_field()
+    with pytest.raises(DomainError, match="Q has no binary quadratic forms"):
+        ideal_to_form(primes_above(5, q)[0].ideal)
+    with pytest.raises(DomainError, match="does not match the field"):
+        form_to_ideal(QuadForm(1, 1, 0), q)
+
+
 def test_ideal_class_form_is_class_invariant():
     # multiplying by a principal ideal never moves the class
     rng = random.Random(37)
@@ -180,6 +195,16 @@ def test_is_principal_agrees_with_generator_search():
             else:
                 assert gen is None
             assert ok == is_principal_class(ideal)
+    # imaginary fields against the ellipse scan, which shares no code with
+    # the rho-walk; the walk's own non-principal answer is checked directly,
+    # as is_principal reads the class vector first
+    for d in (-1, -3, -5, -23):
+        f = make_field(d)
+        for ideal in hnf_triples_brute(f, 60):
+            expected, scan_gen = principal_by_unit_band(ideal)
+            ok, gen = is_principal(ideal)
+            assert ok == expected == _principal_walk(ideal)[0], (d, ideal)
+            assert gen is None if not ok else is_associated(gen, scan_gen), (d, ideal)
 
 
 def test_real_field_classes_match_unit_band_oracle():
@@ -196,7 +221,7 @@ def test_real_field_classes_match_unit_band_oracle():
             assert ok == expected == is_principal_class(ideal), (d, ideal)
             # is_principal reads the class vector first, so the walk's own
             # closed-cycle answer is checked here directly
-            assert _principal_real(ideal)[0] == expected, (d, ideal)
+            assert _principal_walk(ideal)[0] == expected, (d, ideal)
             assert (not any(group.vector(ideal))) == expected, (d, ideal)
             assert gen is None if not ok else principal_ideal(gen) == ideal, (d, ideal)
         # a homomorphism whose kernel is the principal ideals: one vector per class

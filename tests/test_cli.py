@@ -128,11 +128,14 @@ def test_ring_real_unit_beyond_str_limit_exit_2(capsys):
 
 def test_real_field_large_unit_commands_exit_0(capsys):
     # principality by a rho-walk costs O(period), not O(eps): eps has about
-    # 860 digits for d = 1000081 and 23 for d = 631, and no command is refused
+    # 860 digits for d = 1000081 and 23 for d = 631, and no command is refused.
+    # In an imaginary field the walk takes O(log N) steps: 1 + 100000086 sqrt(-5)
+    # has prime norm about 5 * 10^16, where an ellipse scan would try 10^8 values of y
     for argv in (
         ("factor", "-d", "631", "3"),
         ("factor", "-d", "631", "5,1"),
         ("factor", "-d", "1000081", "3"),
+        ("factor", "-d", "-5", "1,100000086"),
         ("zeta", "-d", "631", "--aset", "atoms-dividing:primes", "--s", "1", "--kappa", "50"),
         ("zeta", "-d", "1000081", "--aset", "atoms-dividing:primes", "--s", "1", "--kappa", "10"),
     ):
