@@ -154,9 +154,8 @@ def cmd_ring(args) -> int:
     if field.is_real:
         unit = fundamental_unit(field)
         _refuse_unprintable("the fundamental unit", unit)
-    elif field.is_imaginary:
-        group = class_group_structure(field)
-        d_const = davenport_constant(group)
+    group = class_group_structure(field)
+    d_const = davenport_constant(group)
     print(f"field: {field.label()}")
     print(f"degree: {field.degree}")
     print(f"discriminant: {field.disc}")
@@ -167,9 +166,8 @@ def cmd_ring(args) -> int:
         return 0
     if field.is_real:
         print(f"units: {{+-1}} x <fundamental unit {unit}>")
-        print("class data: not computed for real fields (documented limitation)")
-        return 0
-    print(f"roots of unity: {len(roots_of_unity(field))}")
+    else:
+        print(f"roots of unity: {len(roots_of_unity(field))}")
     print(f"class number: h = {group.order}")
     print(f"class group: {group}")
     print(f"Davenport constant: D = {d_const}")

@@ -402,9 +402,10 @@ class CensusTable:
 
 
 def atom_census(field: FieldSpec, kappa: int) -> CensusTable:
-    if not (field.is_imaginary or field.is_rational):
-        raise DomainError("the census experiment is restricted to imaginary fields and Q")
-    # the ratio needs D: a group with no closed form is refused before the walk
+    """Principal atom ideals of norm <= kappa in any field, counted by norm.  The
+    ratio rests on the atoms of a Krull monoid with finite class group and a prime
+    in every class (Narkiewicz, 3rd ed., ch. 9; Geroldinger & Halter-Koch, ch. 9);
+    it needs D, so a group with no closed form is refused before the walk."""
     d_const = davenport_constant(class_group_structure(field))
     norms = Counter(n for n, _, _ in _atom_parts(field, ASetSpec("all-atoms"), kappa))
     counts = tuple(sorted(norms.items()))

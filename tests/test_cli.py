@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from atomzeta.cli import _parse_kappa_grid, _parser, main
 from atomzeta.ring import make_field
+from oracles import all_atoms_per_ideal
 
 
 def run_cli(capsys, *argv):
@@ -102,8 +104,13 @@ def test_ring_real_unit_beyond_str_limit_exit_2(capsys):
     # the fundamental unit of d = 1000081 has 857 digits in y, 860 in x
     code, out, err = run_cli(capsys, "ring", "-d", "1000081")
     assert code == 0 and not err
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "44f4228436b37b9e800b6d29912b3cd816ff2971468f5595c67bde5e16ab9f0b"
+    # the field and unit lines, byte for byte as before real fields had class data
+    lines = out.splitlines(keepends=True)
+    assert hashlib.sha256("".join(lines[:5]).encode()).hexdigest() == (
+        "5479840c6219560f11a18feda65c246ccfd2994a8cd1a372f7aa3f2a3a07e61d"
+    )
+    assert "".join(lines[5:]) == (
+        "class number: h = 1\nclass group: trivial\nDavenport constant: D = 1\n"
     )
     before = sys.get_int_max_str_digits()
     try:
@@ -182,14 +189,20 @@ def test_real_field_factor_past_the_scan_cap_exit_0():
 
 
 def test_ring_rank_three_davenport(capsys):
-    for d, group, dconst in (("-546", "Z/2 x Z/2 x Z/6", 8), ("-1001", "Z/2 x Z/2 x Z/10", 12)):
+    for d, group, dconst in (
+        ("-546", "Z/2 x Z/2 x Z/6", 8),
+        ("-1001", "Z/2 x Z/2 x Z/10", 12),
+        ("3315", "Z/2 x Z/2 x Z/2", 4),
+    ):
         code, out, err = run_cli(capsys, "ring", "-d", d)
         assert code == 0 and not err
         assert f"class group: {group}\nDavenport constant: D = {dconst}\n" in out
-    # no closed form: nothing on stdout, and the error names the group
-    code, out, err = run_cli(capsys, "ring", "-d", "-2805")
-    assert code == 2 and not out
-    assert "Z/2 x Z/2 x Z/2 x Z/6" in err
+    # no closed form: nothing on stdout, not even a real field's unit, and the
+    # error names the group
+    for d in ("-2805", "81510"):
+        code, out, err = run_cli(capsys, "ring", "-d", d)
+        assert code == 2 and not out, d
+        assert "Z/2 x Z/2 x Z/2 x Z/6" in err, d
 
 
 def test_ring_rational_and_real(capsys):
@@ -504,14 +517,19 @@ def test_census_golden_bytes(capsys):
 
 
 def test_census_golden_bytes_large(capsys):
-    # SHA-256 of `census -d -5 --kappa 1e5` stdout, captured before atoms
-    # were decided once per class signature; at this size exponents and
+    # SHA-256 of `census --kappa 1e5` stdout; at this size exponents and
     # signatures are much richer than at kappa = 1e4
-    code, out, _ = run_cli(capsys, "census", "-d", "-5", "--kappa", "1e5")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "5d6bdb47c1c1d1fd603ce6228e74f09b2ae46df2bb72a31786e39b710163de81"
-    )
+    for d, digest in (
+        # captured before atoms were decided once per class signature
+        ("-5", "5d6bdb47c1c1d1fd603ce6228e74f09b2ae46df2bb72a31786e39b710163de81"),
+        # Z/3, D = 3: no earlier bytes exist (the census refused real fields);
+        # pinned once the kappa = 5000 counts agreed with the per-ideal oracle
+        # and these rows with those of kappa = 1e4
+        ("79", "70d4d0bafd85f76d1ba4a4de6c6d5abb87b6dfd66063c2a5a006f028b60c77bc"),
+    ):
+        code, out, _ = run_cli(capsys, "census", "-d", d, "--kappa", "1e5")
+        assert code == 0, d
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, d
 
 
 def test_census_json_meta(capsys):
@@ -524,62 +542,49 @@ def test_census_json_meta(capsys):
     assert any(r["x"] == 10 for r in payload["meta"]["ratio_trend"])
 
 
-def test_census_real_field_rejected(capsys):
-    code, _, err = run_cli(capsys, "census", "-d", "2", "--kappa", "100")
-    assert code == 2 and "error" in err
-
-
-def test_census_real_field_refused_before_work():
-    # the command's own time, after the interpreter and imports are up
-    script = (
-        "import sys, time\n"
-        "from atomzeta.cli import main\n"
-        "t = time.perf_counter()\n"
-        "code = main(['census', '-d', '631', '--kappa', '100'])\n"
-        "print(time.perf_counter() - t)\n"
-        "sys.exit(code)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, timeout=20, env=_src_env(),
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("atomzeta: error:")
-    assert float(proc.stdout) < 1.0
+def test_census_real_field_matches_oracle(capsys):
+    code, out, err = run_cli(capsys, "census", "-d", "2", "--kappa", "100")
+    assert code == 0 and not err
+    rows = [line.split(",") for line in out.splitlines()[1:] if not line.startswith("#")]
+    expected = Counter(all_atoms_per_ideal(make_field(2), 100))
+    assert {int(n): int(a) for n, a, _ in rows} == expected
 
 
 def test_census_unsupported_group_refused_before_work():
-    # Z/2 x Z/2 x Z/2 x Z/6 has no Davenport closed form; the census needs D
-    # for its ratio, so it exits before walking the ideals of norm <= 1e6
-    script = (
-        "import sys, time\n"
-        "from atomzeta.cli import main\n"
-        "t = time.perf_counter()\n"
-        "code = main(['census', '-d', '-2805', '--kappa', '1e6'])\n"
-        "print(time.perf_counter() - t)\n"
-        "sys.exit(code)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, timeout=60, env=_src_env(),
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("atomzeta: error:")
-    assert "Z/2 x Z/2 x Z/2 x Z/6" in proc.stderr
-    assert float(proc.stdout) < 1.0
+    # Z/2 x Z/2 x Z/2 x Z/6 has no Davenport closed form, in Q(sqrt -2805) and
+    # Q(sqrt 81510); the census needs D for its ratio, so it exits before
+    # walking the ideals of norm <= 1e6
+    for d in ("-2805", "81510"):
+        script = (
+            "import sys, time\n"
+            "from atomzeta.cli import main\n"
+            "t = time.perf_counter()\n"
+            f"code = main(['census', '-d', '{d}', '--kappa', '1e6'])\n"
+            "print(time.perf_counter() - t)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60, env=_src_env(),
+        )
+        assert proc.returncode == 2, (d, proc.stderr)
+        assert proc.stderr.startswith("atomzeta: error:"), d
+        assert "Z/2 x Z/2 x Z/2 x Z/6" in proc.stderr, d
+        assert float(proc.stdout) < 1.0, d
 
 
 def test_census_rows_agree_across_scales(capsys):
-    # every row n <= 1e5 of the 1e6 census is a row of the 1e5 census
-    def rows(kappa):
-        code, out, _ = run_cli(capsys, "census", "-d", "-5", "--kappa", kappa)
+    # every row n <= kappa of the 10 kappa census is a row of the kappa census
+    def rows(d, kappa):
+        code, out, _ = run_cli(capsys, "census", "-d", d, "--kappa", kappa)
         assert code == 0
         return [line for line in out.splitlines() if not line.startswith("#")][1:]
 
-    small = rows("1e5")
-    large = rows("1e6")
-    assert small == [r for r in large if int(r.split(",")[0]) <= 10**5]
-    assert len(large) > len(small)
+    for d, small_kappa, large_kappa in (("-5", "1e5", "1e6"), ("79", "1e4", "1e5")):
+        small = rows(d, small_kappa)
+        large = rows(d, large_kappa)
+        assert small == [r for r in large if int(r.split(",")[0]) <= int(float(small_kappa))], d
+        assert len(large) > len(small), d
 
 
 def test_unwritable_output_exit_2(tmp_path, capsys):
