@@ -109,15 +109,22 @@ def _atom_walk(field: FieldSpec, fac, cap: int):
     leaves a zero-sum-free box: one with no principal nonempty sub-box.
     A principal prime is an atom on its own and lies in no zero-sum-free
     box.  The other primes are walked depth first, one copy at a time,
-    through the zero-sum-free boxes only, each node keeping its class t and
-    the set S of the classes of its nonempty sub-boxes (at most h - 1
-    vectors of class_group(field)).  One more copy of a prime of class g
-    gives an atom if t + g = 0, a box with a principal proper sub-box
-    (pruned with every higher exponent) if -g is another c in S, and
-    otherwise the zero-sum-free box with S | (S + g) | {g}.  If t + g = 0,
+    through the zero-sum-free boxes only.  A node's state is the sum t and
+    the subsum set S of its sequence of prime classes, a zero-sum-free
+    sequence over Cl(K) (Geroldinger & Halter-Koch, Non-Unique
+    Factorizations, ch. 5): states do not depend on the primes, and a walk
+    meets few of them.  One more copy of a prime of class g gives an atom
+    if t + g = 0, a box with a principal proper sub-box (pruned with every
+    higher exponent) if -g is another c in S, and otherwise the
+    zero-sum-free box in state (t + g, S | (S + g) | {g}).  If t + g = 0,
     no other c in S has c + g = 0, for then the sub-box that c leaves out
-    would be principal.  A split prime's conjugate, next to it in a box,
-    has the inverse class.
+    would be principal.  States are interned as ints from 1, the empty box
+    being 1, each keyed by t's class id and a bit mask of S over
+    walk-local class ids (t lies in S, so t + g is read off S + g), and
+    each has a row of steps indexed by prime class id: -1 (pruned), 0
+    (atom) or the next state, filled when a node first takes it.  The
+    table lives for one walk.  A split prime's conjugate, next to it in a
+    box, has the inverse class.
     The primes are sorted by norm, so a walk can stop at the first norm
     too large; the stable sort keeps a split prime next to its conjugate.
     """
@@ -125,34 +132,76 @@ def _atom_walk(field: FieldSpec, fac, cap: int):
     by_norm.sort(key=itemgetter(0))
     group = class_group(field)
     add, neg = group.add, group.neg
+    ids: dict[tuple[int, ...], int] = {}  # class -> id, prime classes first
     walk, g, last = [], None, 0
     for q, prime, top in by_norm:
         g = neg(g) if prime.p == last else group.prime_vector(prime)
         last = prime.p
         if any(g):
-            walk.append((prime, q, top, g, neg(g)))
+            walk.append((prime, q, top, ids.setdefault(g, len(ids))))
         else:
             yield q, ((prime, 1),)
+    if not walk:
+        return
     del by_norm  # the walk list holds every prime it needs
-    # (next index into walk, norm, parts, class, sub-box classes)
-    stack = [(0, 1, (), None, frozenset())]
+    width = len(ids)  # one step per prime class in each row
+    classes = list(ids)  # id -> class, growing as subsums meet new classes
+
+    def class_id(v: tuple[int, ...]) -> int:
+        i = ids.get(v)
+        if i is None:
+            i = ids[v] = len(classes)
+            classes.append(v)
+        return i
+
+    minus = [class_id(neg(g)) for g in classes[:width]]
+    keys = [None, (-1, 0)]  # state -> (id of t, mask of S); the empty box has no t
+    rows = [None, [None] * width]  # state -> steps by class id
+    state_of = {keys[1]: 1}
+
+    def step(state: int, c: int) -> int:
+        t, sums = keys[state]
+        if sums >> minus[c] & 1:
+            return 0 if minus[c] == t else -1
+        g = classes[c]
+        new, rest, t2 = sums | 1 << c, sums, c
+        while rest:  # S + g, one set bit of S at a time; t + g is among them
+            low = rest & -rest
+            b = low.bit_length() - 1
+            k = class_id(add(classes[b], g))
+            if b == t:
+                t2 = k
+            new |= 1 << k
+            rest ^= low
+        key = (t2, new)
+        nxt = state_of.get(key)
+        if nxt is None:
+            nxt = state_of[key] = len(keys)
+            keys.append(key)
+            rows.append([None] * width)
+        return nxt
+
+    # (next index into walk, norm, parts, state)
+    stack = [(0, 1, (), 1)]
     while stack:
-        i, norm, parts, t, sums = stack.pop()
+        i, norm, parts, state = stack.pop()
         for j in range(i, len(walk)):
-            prime, q, top, g, minus_g = walk[j]
+            prime, q, top, c = walk[j]
             n2, e = norm * q, 1
             if n2 > cap:
                 break
-            s, sub = t, sums
+            st = state
             while n2 <= cap and e <= top:
-                box = parts + ((prime, e),)
-                if minus_g in sub:
-                    if minus_g == s:
-                        yield n2, box
+                row = rows[st]
+                nxt = row[c]
+                if nxt is None:
+                    nxt = row[c] = step(st, c)
+                if nxt < 1:
+                    if nxt == 0:
+                        yield n2, parts + ((prime, e),)
                     break
-                s = g if s is None else add(s, g)
-                sub = sub.union([add(c, g) for c in sub], (g,))
-                stack.append((j + 1, n2, box, s, sub))
+                stack.append((j + 1, n2, parts + ((prime, e),), nxt))
+                st = nxt
                 n2 *= q
                 e += 1
 

@@ -6,9 +6,11 @@ sqrt(d) and an mpmath cube root, irreducibility from a divisor-class
 scan, ideal enumeration from a raw HNF triple scan, prime ideals from a
 scan of every b mod p, class groups from counting f^(p^k) = 1 over every
 reduced form, atom factorizations from a scan of every sub-product in
-order, atom sets from a level-by-level sub-box search, Davenport constants from a subset-sum search over tuples, the
-Euler sum from a term-by-term mpmath loop, primes from trial division,
-factorizations and primality from sympy, and so on.
+order, atom sets from a level-by-level sub-box search, the walk's step
+table from the walk that recomputes every node's subsum set, Davenport
+constants from a subset-sum search over tuples, the Euler sum from a
+term-by-term mpmath loop, primes from trial division, factorizations and
+primality from sympy, and so on.
 """
 
 from __future__ import annotations
@@ -539,6 +541,52 @@ def _atom_finder(field: FieldSpec, cap: int):
             level = grown
 
     return atoms
+
+
+def atom_walk_direct(field: FieldSpec, fac, cap: int):
+    """(norm, parts) for every atom of norm <= cap dividing the box fac =
+    ((PrimeIdeal, e), ...), as `atoms._atom_walk` yields them, by the walk
+    with no step table: every node keeps its class t and the frozenset S of
+    its sub-box classes and recomputes S | (S + g) | {g} for each child.
+    A principal prime is an atom on its own; one more copy of class g is an
+    atom if t + g = 0 and is pruned if -g is another class in S."""
+    from operator import itemgetter
+
+    from atomzeta.classgroup import class_group
+
+    by_norm = [(q, prime, top) for prime, top in fac if (q := prime.norm) <= cap]
+    by_norm.sort(key=itemgetter(0))
+    group = class_group(field)
+    add, neg = group.add, group.neg
+    walk, g, last = [], None, 0
+    for q, prime, top in by_norm:
+        g = neg(g) if prime.p == last else group.prime_vector(prime)
+        last = prime.p
+        if any(g):
+            walk.append((prime, q, top, g, neg(g)))
+        else:
+            yield q, ((prime, 1),)
+    # (next index into walk, norm, parts, class, sub-box classes)
+    stack = [(0, 1, (), None, frozenset())]
+    while stack:
+        i, norm, parts, t, sums = stack.pop()
+        for j in range(i, len(walk)):
+            prime, q, top, g, minus_g = walk[j]
+            n2, e = norm * q, 1
+            if n2 > cap:
+                break
+            s, sub = t, sums
+            while n2 <= cap and e <= top:
+                box = parts + ((prime, e),)
+                if minus_g in sub:
+                    if minus_g == s:
+                        yield n2, box
+                    break
+                s = g if s is None else add(s, g)
+                sub = sub.union([add(c, g) for c in sub], (g,))
+                stack.append((j + 1, n2, box, s, sub))
+                n2 *= q
+                e += 1
 
 
 def all_atoms_per_ideal(field: FieldSpec, kappa: int) -> list[int]:

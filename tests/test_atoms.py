@@ -1,8 +1,11 @@
 import random
+from collections import Counter
+from itertools import repeat
 
 import pytest
 
 from atomzeta.atoms import (
+    _atom_walk,
     atom_ideals_dividing,
     atoms_dividing,
     factor_into_atoms,
@@ -10,10 +13,17 @@ from atomzeta.atoms import (
     verify_norm_identity,
 )
 from atomzeta.errors import UnitElementError, ZeroElementError
+from atomzeta.ideals import _prime_pool
 from atomzeta.ring import canonical_associate, is_associated, make_field, rational_field
 from atomzeta.series import build_ideal_set, parse_aset
 from atomzeta.sieve import primes_upto
-from oracles import atoms_dividing_brute, factor_scan, is_atom_brute, reps_by_norm
+from oracles import (
+    atom_walk_direct,
+    atoms_dividing_brute,
+    factor_scan,
+    is_atom_brute,
+    reps_by_norm,
+)
 
 F1 = make_field(-1)
 F5 = make_field(-5)
@@ -129,6 +139,31 @@ def test_atoms_dividing_matches_brute_oracle():
             assert len(got) == len(brute), (f.d, m)
             for a, b in zip(got, brute):
                 assert is_associated(a, b), (f.d, m, str(a), str(b))
+
+
+def test_atom_walk_step_table_matches_direct_walk():
+    # the walk's step table against the walk that recomputes every node's
+    # subsum set, on seeded random boxes of prime powers (a sorted sample
+    # of the pool keeps a split prime next to its conjugate, as a
+    # factorization does) and on the census's whole pool; Z/2 x Z/8,
+    # Z/2 x Z/2 x Z/2, Z/3 x Z/9 and Z/44
+    rng = random.Random(22)
+    for d in (-221, -1155, -3299, -6631):
+        field = make_field(d)
+        pool = _prime_pool(field, 400)
+        for _ in range(40):
+            picks = sorted(rng.sample(range(len(pool)), rng.randint(1, 6)))
+            box = tuple((pool[i], rng.randint(1, 3)) for i in picks)
+            full = 1
+            for prime, e in box:
+                full *= prime.norm**e
+            for cap in (full, rng.randint(1, full)):
+                got = Counter(_atom_walk(field, box, cap))
+                assert got == Counter(atom_walk_direct(field, box, cap)), (d, box, cap)
+        kappa = 3000
+        box = tuple(zip(_prime_pool(field, kappa), repeat(kappa)))
+        got = Counter(_atom_walk(field, box, kappa))
+        assert got == Counter(atom_walk_direct(field, box, kappa)), d
 
 
 def test_atom_ideals_dividing_norm_cap():

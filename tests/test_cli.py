@@ -506,6 +506,9 @@ CENSUS_GOLDEN = {
     # were read off a residue table
     "-3": "b9239904b00bdba2cf2ad4aadabbb1f66e8c5cb91412a43a5587a1f1933a7608",
     "-11": "8e4e23cc619b65b569536b3971818e1d9db80c4cccfbd1a6e0f41b36ff856a03",
+    # Z/4, the benchmark census's second field; captured before the walk
+    # kept a step table over (sum, subsum set) states
+    "-14": "4c20cc72e75716b5821c316a14a50a789271ab3664c094bcdd1dfa8153001deb",
 }
 
 
@@ -526,6 +529,10 @@ def test_census_golden_bytes_large(capsys):
         # pinned once the kappa = 5000 counts agreed with the per-ideal oracle
         # and these rows with those of kappa = 1e4
         ("79", "70d4d0bafd85f76d1ba4a4de6c6d5abb87b6dfd66063c2a5a006f028b60c77bc"),
+        # Z/2 x Z/8 and Z/2 x Z/2 x Z/2, captured before the walk kept a
+        # step table over (sum, subsum set) states
+        ("-221", "a1956af2e82f3825bee4b886215f26539c102af027bf538336c4406027769626"),
+        ("-1155", "5b3f001bc26969d2ec8771cd7967958643f20e0c2cbaeb425a5606973cf82142"),
     ):
         code, out, _ = run_cli(capsys, "census", "-d", d, "--kappa", "1e5")
         assert code == 0, d

@@ -367,8 +367,10 @@ def test_all_atoms_signature_memo_matches_per_ideal_oracle():
 
 
 def test_atom_walk_matches_per_ideal_oracle_on_deeper_groups():
-    # the walk goes D - 1 copies deep: Z/5, Z/7, Z/6 and Z/2 x Z/8 (D = 9)
-    for d in (-47, -71, -26, -221):
+    # the walk goes D - 1 copies deep: Z/5, Z/7, Z/6 and Z/2 x Z/8 (D = 9),
+    # Z/2 x Z/2 x Z/2 (D = 4), Z/4 x Z/4 (D = 7), Z/3 x Z/9 (D = 11) and
+    # Z/44 (D = 44)
+    for d in (-47, -71, -26, -221, -1155, -2379, -3299, -6631):
         field = make_field(d)
         census = atom_census(field, 5000)
         expected = Counter(all_atoms_per_ideal(field, 5000))
