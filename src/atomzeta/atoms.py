@@ -34,7 +34,7 @@ def is_atom(e: RingElement) -> bool:
         return True  # single prime ideal, no proper sub-multiset
     fac = factor_ideal(principal_ideal(e)).factors
     # (e) is principal, so it holds an atom; if it is one, it holds no other
-    return next(_atom_walk(e.field, fac, n))[0] == n
+    return next(_box_atoms(e.field, fac, n))[0] == n
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def factor_into_atoms(e: RingElement) -> AtomFactorization:
         return sum(vec), vec
 
     grouped: dict[RingElement, int] = {}
-    for _, parts in sorted(_atom_walk(field, fac, abs(e.norm())), key=order):
+    for _, parts in sorted(_box_atoms(field, fac, abs(e.norm())), key=order):
         times = min(remaining[prime] // k for prime, k in parts)
         if not times:
             continue
@@ -98,52 +98,79 @@ def factor_into_atoms(e: RingElement) -> AtomFactorization:
     return AtomFactorization(unit, tuple(ordered))
 
 
-def _atom_walk(field: FieldSpec, fac, cap: int):
+def _box_atoms(field: FieldSpec, fac, cap: int):
     """(norm, parts) for every atom of norm <= cap that divides the box
     fac = ((PrimeIdeal, e), ...), once each and in no set order; parts =
     ((PrimeIdeal, k), ...) lists its primes by norm, and in the order of
     fac among equal norms.
 
-    An atom is a sub-box whose prime classes sum to 0 in Cl(K) while no
-    proper nonempty sub-box does, so removing one copy of its last prime
-    leaves a zero-sum-free box: one with no principal nonempty sub-box.
     A principal prime is an atom on its own and lies in no zero-sum-free
-    box.  The other primes are walked depth first, one copy at a time,
-    through the zero-sum-free boxes only.  A node's state is the sum t and
-    the subsum set S of its sequence of prime classes, a zero-sum-free
-    sequence over Cl(K) (Geroldinger & Halter-Koch, Non-Unique
-    Factorizations, ch. 5): states do not depend on the primes, and a walk
-    meets few of them.  One more copy of a prime of class g gives an atom
-    if t + g = 0, a box with a principal proper sub-box (pruned with every
-    higher exponent) if -g is another c in S, and otherwise the
-    zero-sum-free box in state (t + g, S | (S + g) | {g}).  If t + g = 0,
-    no other c in S has c + g = 0, for then the sub-box that c leaves out
-    would be principal.  States are interned as ints from 1, the empty box
-    being 1, each keyed by t's class id and a bit mask of S over
-    walk-local class ids (t lies in S, so t + g is read off S + g), and
-    each has a row of steps indexed by prime class id: -1 (pruned), 0
-    (atom) or the next state, filled when a node first takes it.  The
-    table lives for one walk.  A split prime's conjugate, next to it in a
-    box, has the inverse class.
-    The primes are sorted by norm, so a walk can stop at the first norm
-    too large; the stable sort keeps a split prime next to its conjugate.
+    box; the other primes go to `_atom_walk`, and an atom's parts are read
+    off the frames it yields.  The stable sort by norm keeps a split prime
+    next to its conjugate, which has the inverse class.
     """
     by_norm = [(q, prime, top) for prime, top in fac if (q := prime.norm) <= cap]
     by_norm.sort(key=itemgetter(0))
     group = class_group(field)
-    add, neg = group.add, group.neg
-    ids: dict[tuple[int, ...], int] = {}  # class -> id, prime classes first
-    walk, g, last = [], None, 0
+    primes, walked, g, last = [], [], None, 0
     for q, prime, top in by_norm:
-        g = neg(g) if prime.p == last else group.prime_vector(prime)
+        g = group.neg(g) if prime.p == last else group.prime_vector(prime)
         last = prime.p
         if any(g):
-            walk.append((prime, q, top, ids.setdefault(g, len(ids))))
+            primes.append(prime)
+            walked.append((q, g, top))
         else:
             yield q, ((prime, 1),)
-    if not walk:
+    for norm, frames, j, e in _atom_walk(group, walked, cap):
+        parts = ()
+        for i, k, _, _ in frames:
+            parts += ((primes[i], k),)
+        yield norm, parts + ((primes[j], e),)
+
+
+def _atom_walk(group, primes, cap: int):
+    """(norm, frames, j, e) for every atom of norm <= cap over the
+    non-principal primes = ((norm, class, top), ...), given in norm order,
+    with at most top copies of each prime; once each and in no set order.
+    The atom is e copies of the j-th prime times the box of the frames:
+    the walk's live stack, one frame (i, k, norm, state) per distinct
+    prime i < j of that box, with its k copies and the norm and state of
+    the box up to it.  Read the frames before taking the next atom.
+
+    An atom is a sub-box whose prime classes sum to 0 in Cl(K) while no
+    proper nonempty sub-box does, so removing one copy of its last prime
+    leaves a zero-sum-free box: one with no principal nonempty sub-box.
+    The walk goes depth first, one copy at a time, through the
+    zero-sum-free boxes only, and keeps one frame per distinct prime of
+    the box it stands on: at most D(G) - 1 of them.  It adds the next
+    prime to that box; when no prime fits, it pops the last frame and
+    tries one more copy of its prime, then the prime after it.  A node's
+    state is the sum t and the subsum set S of its sequence of prime
+    classes, a zero-sum-free sequence over Cl(K) (Geroldinger &
+    Halter-Koch, Non-Unique Factorizations, ch. 5): states do not depend
+    on the primes, and a walk meets few of them.  One more copy of a prime
+    of class g gives an atom if t + g = 0, a box with a principal proper
+    sub-box (pruned with every higher exponent) if -g is another c in S,
+    and otherwise the zero-sum-free box in state (t + g, S | (S + g) |
+    {g}).  If t + g = 0, no other c in S has c + g = 0, for then the
+    sub-box that c leaves out would be principal.  States are interned as
+    ints from 1, the empty box being 1, each keyed by t's class id and a
+    bit mask of S over walk-local class ids (t lies in S, so t + g is read
+    off S + g), and each has a row of steps indexed by prime class id: -1
+    (pruned), 0 (atom) or the next state, filled when a node first takes
+    it.  The table lives for one walk, and a walk with no prime builds
+    none.  The primes are in norm order, so the walk can stop at the
+    first norm too large.
+    """
+    ids: dict[tuple[int, ...], int] = {}  # class -> id, prime classes first
+    norms, cids, tops = [], [], []
+    for q, g, top in primes:
+        norms.append(q)
+        cids.append(ids.setdefault(g, len(ids)))
+        tops.append(top)
+    if not norms:
         return
-    del by_norm  # the walk list holds every prime it needs
+    add, neg = group.add, group.neg
     width = len(ids)  # one step per prime class in each row
     classes = list(ids)  # id -> class, growing as subsums meet new classes
 
@@ -181,29 +208,45 @@ def _atom_walk(field: FieldSpec, fac, cap: int):
             rows.append([None] * width)
         return nxt
 
-    # (next index into walk, norm, parts, state)
-    stack = [(0, 1, (), 1)]
-    while stack:
-        i, norm, parts, state = stack.pop()
-        for j in range(i, len(walk)):
-            prime, q, top, c = walk[j]
-            n2, e = norm * q, 1
-            if n2 > cap:
-                break
-            st = state
-            while n2 <= cap and e <= top:
-                row = rows[st]
-                nxt = row[c]
-                if nxt is None:
-                    nxt = row[c] = step(st, c)
-                if nxt < 1:
-                    if nxt == 0:
-                        yield n2, parts + ((prime, e),)
-                    break
-                stack.append((j + 1, n2, parts + ((prime, e),), nxt))
-                st = nxt
-                n2 *= q
-                e += 1
+    norms.append(cap + 1)  # no box takes this sentinel, so the scan ends
+    # the box stood on: its norm, state, row, and the next prime to add; a
+    # box whose last prime cannot be taken once more has no larger box that
+    # fits, so it gets no frame
+    stack = []  # frames (j, e, norm, state), one per distinct prime
+    norm, state, row, j = 1, 1, rows[1], 0
+    while True:
+        while (n2 := norm * (q := norms[j])) <= cap:
+            c = cids[j]
+            nxt = row[c]
+            if nxt is None:
+                nxt = row[c] = step(state, c)
+            if nxt > 0:
+                if n2 * q <= cap:
+                    stack.append((j, 1, n2, nxt))
+                    norm, state, row = n2, nxt, rows[nxt]
+            elif nxt == 0:
+                yield n2, stack, j, 1
+            j += 1
+        if not stack:
+            return
+        j, e, n2, st = stack.pop()
+        q = norms[j]
+        n2 *= q
+        if e < tops[j] and n2 <= cap:
+            c = cids[j]
+            nxt = rows[st][c]
+            if nxt is None:
+                nxt = rows[st][c] = step(st, c)
+            if nxt == 0:
+                yield n2, stack, j, e + 1
+            elif nxt > 0 and n2 * q <= cap:
+                stack.append((j, e + 1, n2, nxt))
+                norm, state, row = n2, nxt, rows[nxt]
+                j += 1
+                continue
+        _, _, norm, state = stack[-1] if stack else (0, 0, 1, 1)
+        row = rows[state]
+        j += 1
 
 
 def atom_ideals_dividing(m: int, field: FieldSpec, norm_cap: int | None = None) -> list[Ideal]:
@@ -212,7 +255,7 @@ def atom_ideals_dividing(m: int, field: FieldSpec, norm_cap: int | None = None) 
         raise ZeroElementError("m must be a positive integer")
     fac = _factor_rational(field, factorint(m))
     cap = m * m if norm_cap is None else norm_cap
-    out = [FactoredIdeal(field, parts).unfactor() for _, parts in _atom_walk(field, fac, cap)]
+    out = [FactoredIdeal(field, parts).unfactor() for _, parts in _box_atoms(field, fac, cap)]
     return sorted(out, key=lambda i: i.sort_key())
 
 

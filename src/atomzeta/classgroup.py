@@ -226,7 +226,9 @@ def _principal_walk(ideal: Ideal) -> tuple[bool, RingElement | None]:
     return True, ideal.field.element(x * ideal.a - y * ideal.b, -y * ideal.c)
 
 
-@lru_cache(maxsize=None)
+# bounded, as each distinct ideal asked about holds an entry; a few
+# thousand factorizations ask about some 4k ideals, well under the cap
+@lru_cache(maxsize=2**16)
 def is_principal(ideal: Ideal) -> tuple[bool, RingElement | None]:
     """(True, generator) when the ideal is principal, else (False, None)."""
     field = ideal.field

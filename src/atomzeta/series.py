@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import e as _E, isqrt, log
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from atomzeta.atoms import _atom_walk
+from atomzeta.atoms import _atom_walk, _box_atoms
 from atomzeta.classgroup import class_group, class_group_structure, davenport_constant
 from atomzeta.errors import CapExceededError, DomainError
 from atomzeta.ideals import (
@@ -152,10 +153,10 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
     Prime ideals and all-atoms have m = 1.  Atoms dividing X come in order
     of least m in X: read off the splitting of m and the class vector of a
     prime above it when X is the primes, else from the zero-sum-free walk
-    `_atom_walk` over the box of (m).  All-atoms come from the same walk
-    over every prime ideal of norm <= kappa (atoms are the minimal zero-sum
-    sequences of the block monoid over Cl(K)).  Every field, real or not,
-    reads the one class_group(field).
+    over the box of (m).  All-atoms come from the same walk over every
+    prime ideal of norm <= kappa (atoms are the minimal zero-sum sequences
+    of the block monoid over Cl(K)).  Every field, real or not, reads the
+    one class_group(field).
     """
     if aspec.kind == "prime-ideals":
         for prime in _prime_pool(field, kappa):
@@ -164,7 +165,7 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
     if aspec.kind == "all-atoms":
         # the norm cap bounds every exponent
         pool = zip(_prime_pool(field, kappa), repeat(kappa))
-        for norm, parts in _atom_walk(field, pool, kappa):
+        for norm, parts in _box_atoms(field, pool, kappa):
             yield norm, 1, parts
         return
     if aspec.kind != "atoms-dividing":
@@ -188,10 +189,33 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
     for m in aspec.xset.members_upto(kappa):
         if m < 2:
             continue
-        for norm, parts in _atom_walk(field, _factor_rational(field, factorint(m)), kappa):
+        for norm, parts in _box_atoms(field, _factor_rational(field, factorint(m)), kappa):
             if parts not in seen:
                 seen.add(parts)
                 yield norm, m, parts
+
+
+def _atom_norms(field: FieldSpec, kappa: int):
+    """The norm of every atom ideal of norm <= kappa, once each and in no
+    set order, with no factorization built and no PrimeIdeal kept: the
+    primes stream from `_split_upto`, a principal prime is an atom on its
+    own, and the others feed `_atom_walk` in norm order (a non-principal
+    prime has degree 1, and its conjugate the inverse class)."""
+    group = class_group(field)
+    principal = []
+
+    def walked():
+        for above in _split_upto(field, kappa):
+            p, g = above[0].p, group.prime_vector(above[0])
+            if not any(g):
+                principal.extend(prime.norm for prime in above)
+                continue
+            yield p, g, kappa  # the norm cap bounds every exponent
+            if len(above) == 2:
+                yield p, group.neg(g), kappa
+
+    yield from map(itemgetter(0), _atom_walk(group, walked(), kappa))
+    yield from principal
 
 
 def build_ideal_set(field: FieldSpec, aspec: ASetSpec, kappa: int) -> list[Ideal]:
@@ -343,7 +367,10 @@ def divergence_table(
         raise DomainError("kappa must be >= 1")
     # one build at the largest kappa, kept as (norm, least m in X) with
     # m = 1 for sets not drawn from X; a row counts the pairs with both <= kappa
-    table = [(n, m) for n, m, _ in _atom_parts(field, aspec, kappa_grid[-1])]
+    if aspec.kind == "all-atoms":
+        table = [(n, 1) for n in _atom_norms(field, kappa_grid[-1])]
+    else:
+        table = [(n, m) for n, m, _ in _atom_parts(field, aspec, kappa_grid[-1])]
     rows = []
     for kappa in kappa_grid:
         norms = [n for n, m in table if n <= kappa and m <= kappa]
@@ -406,8 +433,10 @@ def atom_census(field: FieldSpec, kappa: int) -> CensusTable:
     ratio rests on the atoms of a Krull monoid with finite class group and a prime
     in every class (Narkiewicz, 3rd ed., ch. 9; Geroldinger & Halter-Koch, ch. 9);
     it needs D, so a group with no closed form is refused before the walk."""
+    if kappa < 1:
+        raise DomainError("kappa must be >= 1")
     d_const = davenport_constant(class_group_structure(field))
-    norms = Counter(n for n, _, _ in _atom_parts(field, ASetSpec("all-atoms"), kappa))
+    norms = Counter(_atom_norms(field, kappa))
     counts = tuple(sorted(norms.items()))
     return CensusTable(field.label(), kappa, counts, d_const)
 

@@ -545,7 +545,7 @@ def _atom_finder(field: FieldSpec, cap: int):
 
 def atom_walk_direct(field: FieldSpec, fac, cap: int):
     """(norm, parts) for every atom of norm <= cap dividing the box fac =
-    ((PrimeIdeal, e), ...), as `atoms._atom_walk` yields them, by the walk
+    ((PrimeIdeal, e), ...), as `atoms._box_atoms` yields them, by the walk
     with no step table: every node keeps its class t and the frozenset S of
     its sub-box classes and recomputes S | (S + g) | {g} for each child.
     A principal prime is an atom on its own; one more copy of class g is an

@@ -6,16 +6,18 @@ import pytest
 
 from atomzeta.atoms import (
     _atom_walk,
+    _box_atoms,
     atom_ideals_dividing,
     atoms_dividing,
     factor_into_atoms,
     is_atom,
     verify_norm_identity,
 )
+from atomzeta.classgroup import class_group
 from atomzeta.errors import UnitElementError, ZeroElementError
 from atomzeta.ideals import _prime_pool
 from atomzeta.ring import canonical_associate, is_associated, make_field, rational_field
-from atomzeta.series import build_ideal_set, parse_aset
+from atomzeta.series import atom_census, build_ideal_set, parse_aset
 from atomzeta.sieve import primes_upto
 from oracles import (
     atom_walk_direct,
@@ -145,10 +147,11 @@ def test_atom_walk_step_table_matches_direct_walk():
     # the walk's step table against the walk that recomputes every node's
     # subsum set, on seeded random boxes of prime powers (a sorted sample
     # of the pool keeps a split prime next to its conjugate, as a
-    # factorization does) and on the census's whole pool; Z/2 x Z/8,
-    # Z/2 x Z/2 x Z/2, Z/3 x Z/9 and Z/44
+    # factorization does), on the census's whole pool with parts and by
+    # norm alone; Z/2 x Z/8, Z/2 x Z/2 x Z/2, Z/3 x Z/9, Z/44 and the real
+    # Z/3 and trivial group of d = 79 and 2
     rng = random.Random(22)
-    for d in (-221, -1155, -3299, -6631):
+    for d in (-221, -1155, -3299, -6631, 79, 2):
         field = make_field(d)
         pool = _prime_pool(field, 400)
         for _ in range(40):
@@ -158,12 +161,47 @@ def test_atom_walk_step_table_matches_direct_walk():
             for prime, e in box:
                 full *= prime.norm**e
             for cap in (full, rng.randint(1, full)):
-                got = Counter(_atom_walk(field, box, cap))
+                got = Counter(_box_atoms(field, box, cap))
                 assert got == Counter(atom_walk_direct(field, box, cap)), (d, box, cap)
         kappa = 3000
         box = tuple(zip(_prime_pool(field, kappa), repeat(kappa)))
-        got = Counter(_atom_walk(field, box, kappa))
-        assert got == Counter(atom_walk_direct(field, box, kappa)), d
+        want = Counter(atom_walk_direct(field, box, kappa))
+        assert Counter(_box_atoms(field, box, kappa)) == want, d
+        norms = Counter(norm for norm, _ in want.elements())
+        assert dict(atom_census(field, kappa).counts) == norms, d
+    # a box of principal primes is its own atoms, and its walk has no
+    # prime, so it builds no table: it never reads the class group
+    group = class_group(F5)
+    box = tuple((prime, 2) for prime in _prime_pool(F5, 200) if not any(group.prime_vector(prime)))
+    assert len(box) > 2
+    assert Counter(_box_atoms(F5, box, 10**9)) == Counter(atom_walk_direct(F5, box, 10**9))
+    assert list(_atom_walk(None, [], 10**9)) == []
+
+
+def test_atom_walk_holds_at_most_davenport_minus_one_frames():
+    # the frames the walk yields with each atom are the path to it: one
+    # per distinct prime of the zero-sum-free box the atom's last copy
+    # completes, so never more than D(G) - 1 of them; Z/2 x Z/8 (D = 9) and
+    # Z/44 (D = 44) at kappa = 1e5
+    kappa = 10**5
+    for d, davenport in ((-221, 9), (-6631, 44)):
+        field = make_field(d)
+        group = class_group(field)
+        walked = [
+            (prime.norm, g, kappa)
+            for prime in _prime_pool(field, kappa)
+            if any(g := group.prime_vector(prime))
+        ]
+        deepest = 0
+        for norm, frames, j, e in _atom_walk(group, walked, kappa):
+            assert len(frames) <= davenport - 1, (d, norm)
+            assert [f[0] for f in frames] == sorted({f[0] for f in frames}) and all(
+                f[0] < j for f in frames
+            ), (d, norm)
+            box = (frames[-1][2] if frames else 1) * walked[j][0] ** e
+            assert box == norm and sum(f[1] for f in frames) + e <= davenport, (d, norm)
+            deepest = max(deepest, len(frames))
+        assert deepest >= 2, d
 
 
 def test_atom_ideals_dividing_norm_cap():

@@ -186,6 +186,13 @@ def test_is_principal_examples():
     assert ok and is_associated(gen, F5.element(2))
 
 
+def test_is_principal_cache_is_bounded():
+    # one entry per distinct ideal asked about: a long run must not grow it
+    # without end
+    maxsize = is_principal.cache_parameters()["maxsize"]
+    assert maxsize is not None and 0 < maxsize <= 2**20
+
+
 def test_is_principal_agrees_with_generator_search():
     for f in (F1, F5, F23, make_field(2), make_field(10)):
         for ideal in hnf_triples_brute(f, 30):

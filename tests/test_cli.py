@@ -539,6 +539,17 @@ def test_census_golden_bytes_large(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, d
 
 
+def test_census_golden_bytes_deep_cyclic(capsys):
+    # SHA-256 of `census -d -6631 --kappa 2e5` stdout: Z/44 (D = 44), the
+    # deepest walk of any census golden; captured before the walk kept
+    # lazy frames over norm and class-id lists
+    code, out, _ = run_cli(capsys, "census", "-d", "-6631", "--kappa", "2e5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f2e82cc435a35c0bc31bf6cc3e75b0076e3b44ad8625d967702340f49d08924e"
+    )
+
+
 def test_census_json_meta(capsys):
     code, out, _ = run_cli(
         capsys, "census", "-d", "-5", "--kappa", "100", "--format", "json"

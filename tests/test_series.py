@@ -353,6 +353,13 @@ def test_atom_census_rational_counts_primes():
     assert all(c == 1 for _, c in census.counts)
 
 
+def test_atom_census_refuses_kappa_below_one():
+    # the census streams the primes, and a stream up to kappa < 1 is empty
+    for kappa in (0, -1):
+        with pytest.raises(DomainError):
+            atom_census(F5, kappa)
+
+
 def test_all_atoms_signature_memo_matches_per_ideal_oracle():
     # the census walks the zero-sum-free boxes of the prime pool; the oracle
     # runs the atom finder on every ideal.  Its real path decides principality
