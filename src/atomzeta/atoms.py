@@ -9,7 +9,6 @@ the prime-ideal factorization of (e) has principal product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from atomzeta.errors import InternalInvariantError, UnitElementError, ZeroElementError
 from atomzeta.ideals import FactoredIdeal, Ideal, _factor_rational, factor_ideal, principal_ideal
@@ -101,26 +100,29 @@ def factor_into_atoms(e: RingElement) -> AtomFactorization:
 def _box_atoms(field: FieldSpec, fac, cap: int):
     """(norm, parts) for every atom of norm <= cap that divides the box
     fac = ((PrimeIdeal, e), ...), once each and in no set order; parts =
-    ((PrimeIdeal, k), ...) lists its primes by norm, and in the order of
-    fac among equal norms.
+    ((PrimeIdeal, k), ...) lists its primes in the order of fac.
 
     A principal prime is an atom on its own and lies in no zero-sum-free
     box; the other primes go to `_atom_walk`, and an atom's parts are read
-    off the frames it yields.  The stable sort by norm keeps a split prime
-    next to its conjugate, which has the inverse class.
+    off the frames it yields.  A non-principal prime has degree 1, so fac
+    in order of p with a split prime next to its conjugate, which has the
+    inverse class, gives the walk its primes in norm order: as
+    factor_ideal, _factor_rational and _split_upto give them.
     """
-    by_norm = [(q, prime, top) for prime, top in fac if (q := prime.norm) <= cap]
-    by_norm.sort(key=itemgetter(0))
     group = class_group(field)
     primes, walked, g, last = [], [], None, 0
-    for q, prime, top in by_norm:
+    for prime, top in fac:
+        if (q := prime.norm) > cap:
+            continue
         g = group.neg(g) if prime.p == last else group.prime_vector(prime)
         last = prime.p
-        if any(g):
+        if not any(g):
+            yield q, ((prime, 1),)
+        elif walked and q < walked[-1][0]:
+            raise InternalInvariantError("box primes out of norm order")
+        else:
             primes.append(prime)
             walked.append((q, g, top))
-        else:
-            yield q, ((prime, 1),)
     for norm, frames, j, e in _atom_walk(group, walked, cap):
         parts = ()
         for i, k, _, _ in frames:

@@ -371,9 +371,7 @@ def factor_ideal(ideal: Ideal) -> FactoredIdeal:
 
 def _prime_pool(field: FieldSpec, kappa: int) -> list[PrimeIdeal]:
     """The prime ideals of norm <= kappa, sorted by norm and then (p, b),
-    so a walk over them can stop at the first norm too large.  Only the two
-    primes above a split p share a norm; the stable sort keeps them
-    adjacent, in order of b."""
+    so a walk over them can stop at the first norm too large."""
     if kappa < 1:
         raise DomainError("kappa must be >= 1")
     pool = [prime for above in _split_upto(field, kappa) for prime in above]

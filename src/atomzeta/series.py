@@ -26,7 +26,6 @@ from atomzeta.ideals import (
     FactoredIdeal,
     Ideal,
     _factor_rational,
-    _prime_pool,
     _split_upto,
 )
 from atomzeta.ring import FieldSpec
@@ -37,6 +36,7 @@ if TYPE_CHECKING:
 
 DEFAULT_PREC_BITS = 100
 MIN_PREC_BITS = 80  # the library clamps below this; the CLI refuses
+INCREMENT_FLOOR = 0.05  # heuristic threshold for the divergence flag
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +121,10 @@ class ASetSpec:
     """An ideal set: atoms dividing X, all atoms, or all prime ideals."""
 
     kind: str  # "atoms-dividing" | "all-atoms" | "prime-ideals"
-    xset: XSetSpec | None = None
+    xset: XSetSpec | None = None  # all-atoms keeps X = all for its label
 
     def label(self) -> str:
-        if self.kind == "atoms-dividing":
+        if self.xset is not None:
             return f"atoms-dividing:{self.xset.label()}"
         return self.kind
 
@@ -137,7 +137,9 @@ def parse_aset(spec: str) -> ASetSpec:
     if spec == "atoms-dividing-primes":
         return ASetSpec("atoms-dividing", xset=XSetSpec("primes"))
     if spec.startswith("atoms-dividing:"):
-        return ASetSpec("atoms-dividing", xset=parse_xset(spec.split(":", 1)[1]))
+        xset = parse_xset(spec.split(":", 1)[1])
+        # an atom (a) divides N(a) = a * conj(a), so X = all gives all atoms
+        return ASetSpec("all-atoms" if xset.kind == "all" else "atoms-dividing", xset=xset)
     raise DomainError(f"unknown ideal-set token: {spec!r}")
 
 
@@ -150,22 +152,22 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
     set, once each, where parts = ((PrimeIdeal, k), ...) is its prime
     factorization.
 
-    Prime ideals and all-atoms have m = 1.  Atoms dividing X come in order
-    of least m in X: read off the splitting of m and the class vector of a
-    prime above it when X is the primes, else from the zero-sum-free walk
-    over the box of (m).  All-atoms come from the same walk over every
-    prime ideal of norm <= kappa (atoms are the minimal zero-sum sequences
-    of the block monoid over Cl(K)).  Every field, real or not, reads the
-    one class_group(field).
+    Prime ideals and all-atoms have m = 1 and stream from `_split_upto`.
+    Atoms dividing X come in order of least m in X: read off the splitting
+    of m and the class vector of a prime above it when X is the primes,
+    else from the zero-sum-free walk over the box of (m).  All-atoms come
+    from the same walk over every prime ideal of norm <= kappa (atoms are
+    the minimal zero-sum sequences of the block monoid over Cl(K)).  Every
+    field, real or not, reads the one class_group(field).
     """
+    pool = (prime for above in _split_upto(field, kappa) for prime in above)
     if aspec.kind == "prime-ideals":
-        for prime in _prime_pool(field, kappa):
+        for prime in pool:
             yield prime.norm, 1, ((prime, 1),)
         return
     if aspec.kind == "all-atoms":
         # the norm cap bounds every exponent
-        pool = zip(_prime_pool(field, kappa), repeat(kappa))
-        for norm, parts in _box_atoms(field, pool, kappa):
+        for norm, parts in _box_atoms(field, zip(pool, repeat(kappa)), kappa):
             yield norm, 1, parts
         return
     if aspec.kind != "atoms-dividing":
@@ -337,7 +339,6 @@ class SeriesTable:
     aset_label: str
     s: Fraction
     rows: tuple[SeriesRow, ...]
-    increment_floor: float = 0.0  # heuristic threshold for the divergence flag
 
     @property
     def increments(self) -> list[float]:
@@ -350,7 +351,7 @@ class SeriesTable:
     def consistent_with_divergence(self) -> bool:
         """Heuristic only: increments stay above the floor.  Never a proof."""
         incs = self.increments
-        return bool(incs) and all(i > self.increment_floor for i in incs)
+        return bool(incs) and all(i > INCREMENT_FLOOR for i in incs)
 
 
 def divergence_table(
@@ -359,7 +360,6 @@ def divergence_table(
     s: Fraction,
     kappa_grid: list[int],
     prec_bits: int = DEFAULT_PREC_BITS,
-    increment_floor: float = 0.05,
 ) -> SeriesTable:
     if not kappa_grid or list(kappa_grid) != sorted(set(kappa_grid)):
         raise DomainError("kappa grid must be nonempty and strictly increasing")
@@ -376,9 +376,7 @@ def divergence_table(
         norms = [n for n, m in table if n <= kappa and m <= kappa]
         total, count = _norm_sum(norms, s, prec_bits)
         rows.append(SeriesRow(kappa, count, total))
-    return SeriesTable(
-        field.label(), aspec.label(), s, tuple(rows), increment_floor
-    )
+    return SeriesTable(field.label(), aspec.label(), s, tuple(rows))
 
 
 def euler_primes_sum(x: int, prec_bits: int = DEFAULT_PREC_BITS) -> mpmath.mpf:

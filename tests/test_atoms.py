@@ -14,8 +14,8 @@ from atomzeta.atoms import (
     verify_norm_identity,
 )
 from atomzeta.classgroup import class_group
-from atomzeta.errors import UnitElementError, ZeroElementError
-from atomzeta.ideals import _prime_pool
+from atomzeta.errors import InternalInvariantError, UnitElementError, ZeroElementError
+from atomzeta.ideals import _factor_rational, _prime_pool
 from atomzeta.ring import canonical_associate, is_associated, make_field, rational_field
 from atomzeta.series import atom_census, build_ideal_set, parse_aset
 from atomzeta.sieve import primes_upto
@@ -176,6 +176,21 @@ def test_atom_walk_step_table_matches_direct_walk():
     assert len(box) > 2
     assert Counter(_box_atoms(F5, box, 10**9)) == Counter(atom_walk_direct(F5, box, 10**9))
     assert list(_atom_walk(None, [], 10**9)) == []
+
+
+def test_box_atoms_refuses_non_principal_primes_out_of_norm_order():
+    # the walk stops at the first prime too large, so it needs its primes
+    # in norm order; a box whose non-principal primes come out of it (here
+    # the primes above 7 before those above 3 in Q(sqrt(-5))) raises
+    # rather than missing atoms, while principal primes (29) may come
+    # anywhere
+    box = _factor_rational(F5, {29: 1, 7: 1, 3: 1})
+    with pytest.raises(InternalInvariantError):
+        list(_box_atoms(F5, box, 10**9))
+    ordered = _factor_rational(F5, {3: 1, 7: 1, 29: 1})
+    want = Counter(atom_walk_direct(F5, ordered, 10**9))
+    assert Counter(_box_atoms(F5, ordered, 10**9)) == want
+    assert {norm for norm, _ in want.elements()} == {9, 21, 29, 49}
 
 
 def test_atom_walk_holds_at_most_davenport_minus_one_frames():

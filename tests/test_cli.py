@@ -362,6 +362,22 @@ def test_zeta_golden_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, aset)
 
 
+def test_zeta_atoms_dividing_all_golden_reads_the_all_atoms_walk(capsys):
+    # SHA-256 captured while X = all was still walked m by m, which took
+    # 5.4 s in one CLI process on a shared 2-core host; every atom divides
+    # its norm, so the set is read off the all-atoms walk, with no per-m
+    # factoring
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "zeta", "-d", "-5", "--aset", "atoms-dividing:all", "--s", "1/2",
+        "--kappa", "1e3,1e4,1e5",
+    )
+    assert time.perf_counter() - start < 1.5
+    assert code == 0
+    digest = "968cd11ef237a013c35a7163d92b3af9d3d97cbfc249d5a7e94ee33f47fd9e6e"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # SHA-256 of the concatenated `factor -d d -- TOKEN` stdout per field, over
 # m = 2..60 and then every non-unit x,y with |x|, |y| <= 5 row by row,
 # captured before factor_into_atoms went through the atom finder
@@ -465,8 +481,9 @@ def test_kappa_above_sieve_limit_exit_2(capsys):
 
 
 def test_range_xsets_refuse_kappa_above_sieve_limit(capsys):
-    # atoms-dividing:all and ap: list every m <= kappa; they exit 2 before
-    # allocating, where a list of 10^8 + 1 ints would take about 4 GB
+    # ap: lists every m <= kappa and atoms-dividing:all (all atoms) sieves
+    # the primes up to kappa; both exit 2 before allocating, where a list of
+    # 10^8 + 1 ints would take about 4 GB
     for xset in ("all", "ap:1,2"):
         for kappa in ("100000001", "1e15"):
             start = time.perf_counter()

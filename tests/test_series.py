@@ -9,6 +9,8 @@ from atomzeta.errors import DomainError
 from atomzeta.ring import make_field, rational_field
 from atomzeta.series import (
     DEFAULT_PREC_BITS,
+    ASetSpec,
+    XSetSpec,
     _atom_parts,
     _norm_sum,
     atom_census,
@@ -66,6 +68,12 @@ def test_parse_aset_examples():
     assert spec.kind == "atoms-dividing" and spec.xset.kind == "primes"
     assert parse_aset("atoms-dividing:ap:1,4").xset.kind == "ap"
     assert spec.label() == "atoms-dividing:primes"
+    # every atom divides its norm, so the atoms dividing X = all are all
+    # atoms; the set keeps its name
+    spec = parse_aset("atoms-dividing:all")
+    assert spec.kind == "all-atoms" and spec.label() == "atoms-dividing:all"
+    assert ASetSpec("atoms-dividing", XSetSpec("all")).label() == "atoms-dividing:all"
+    assert parse_aset("all-atoms").label() == "all-atoms"
     with pytest.raises(DomainError):
         parse_aset("atoms")
 
@@ -260,6 +268,24 @@ def test_real_field_atom_sets_match_finder_oracles():
         assert [i.norm for i in got] == all_atoms_per_ideal(f, kappa), f.label()
         want = atom_ideals_dividing_finder(f, ap.xset.members_upto(kappa), kappa)
         assert build_ideal_set(f, ap, kappa) == want, f.label()
+
+
+def test_atoms_dividing_all_are_all_atoms():
+    # the parsed set reads the all-atoms walk; the spec built by hand takes
+    # the per-m walk over the box of each (m), and the finder oracle the
+    # level-by-level search over the same boxes.  Z/2, Z/2 x Z/8 and the
+    # real Z/3, with class number 1 in Z[i], Z[sqrt(2)] and Q
+    kappa = 2000
+    grid = [10, 300, kappa]
+    per_m = ASetSpec("atoms-dividing", XSetSpec("all"))
+    for f in [make_field(d) for d in (-1, -5, -221, 79, 2)] + [Q]:
+        got = build_ideal_set(f, parse_aset("atoms-dividing:all"), kappa)
+        assert got == build_ideal_set(f, per_m, kappa), f.label()
+        assert got == atom_ideals_dividing_finder(f, range(1, kappa + 1), kappa), f.label()
+        for s in (Fraction(0), Fraction(1, 2), Fraction(1)):
+            want = divergence_table(f, per_m, s, grid)
+            table = divergence_table(f, parse_aset("atoms-dividing:all"), s, grid)
+            assert table == want, (f.label(), s)
 
 
 def test_divergence_table_truncates_x_by_least_m():
