@@ -1,4 +1,5 @@
-"""Binary quadratic forms, class groups, principality and Davenport constants.
+"""Binary quadratic forms, class groups, principality, the classes of the
+primes up to kappa and Davenport constants.
 
 Every field gets one ClassGroup, built from prime forms, with a vector in
 the sum of Z/m_i for every class.  An imaginary class holds one reduced
@@ -406,6 +407,48 @@ def class_group(field: FieldSpec) -> ClassGroup:
     if AbelianGroupSpec(group.invariants).order != len(sub):
         raise InternalInvariantError("class group order mismatch")
     return group
+
+
+def _split_upto(field: FieldSpec, kappa: int):
+    """(p, f, k, g, above) for each prime p <= kappa in order, skipping an
+    inert p with p^2 > kappa: the residue degree f and number k of the
+    primes above p, the class vector g of the first of them (the other has
+    -g), and their list when this pass split p, else None.
+
+    For a fundamental discriminant D and p not dividing D, (D | p) depends
+    only on p mod |D| (quadratic reciprocity; Cohen, GTM 138), and so does
+    the genus of a prime above p, read off the genus characters at p (Cox,
+    Primes of the Form x^2 + ny^2, section 3).  When every invariant of
+    Cl(K) is 2 (the trivial group and real wide groups included), the map
+    from forms to Cl(K) kills squares, so a class is fixed by its genus: a
+    residue split once answers (f, k, g) for every later prime with it,
+    with no square root and no reduction.  In other groups only an inert
+    residue does.  A table byte numbers the residue's answer, 0 while it is
+    unseen.  With |D| < kappa <= SIEVE_LIMIT, D has at most 8 prime
+    factors, so such a group has h <= 2^7 and a byte holds each of its at
+    most h + 1 answers.  The table is kept only when |D| < kappa: else no
+    two primes <= kappa share a residue.  The sieve runs first, so its cap
+    fires before the class group and the table are built, and the table is
+    then never more than twice the sieve's mask."""
+    primes = primes_upto(kappa)
+    group = class_group(field)
+    genera = set(group.invariants) <= {2}
+    m = abs(field.disc)
+    table = bytearray(m) if m < kappa else None
+    answers, codes = [None], {}  # table byte <-> (f, k, g)
+    for p in primes:
+        if table is not None and (i := table[p % m]):
+            (f, k, g), above = answers[i], None
+        else:
+            above = _primes_above(p, field)
+            f, k, g = above[0].f, len(above), group.prime_vector(above[0])
+            if table is not None and m % p and (genera or f == 2):
+                if (f, k, g) not in codes:
+                    codes[f, k, g] = len(answers)
+                    answers.append((f, k, g))
+                table[p % m] = codes[f, k, g]
+        if f == 1 or p * p <= kappa:
+            yield p, f, k, g, above
 
 
 def class_number(field: FieldSpec) -> int:

@@ -270,34 +270,6 @@ def _primes_above(p: int, field: FieldSpec) -> list[PrimeIdeal]:
     return [PrimeIdeal(field, p, "split", b0, 1), PrimeIdeal(field, p, "split", b1, 1)]
 
 
-def _split_upto(field: FieldSpec, kappa: int):
-    """The primes above p of norm <= kappa, for each prime p <= kappa in
-    order, skipping an inert p with p^2 > kappa.
-
-    For a fundamental discriminant D, (D | p) depends only on p mod |D|
-    (quadratic reciprocity; Cohen, GTM 138), so a residue found inert once
-    answers every later prime with it, with no square root.  The table is
-    kept only when |D| < kappa: else no two primes <= kappa share a
-    residue.  The sieve runs first, so its cap fires before the table is
-    allocated, and the table is then never more than twice the sieve's
-    mask."""
-    primes = primes_upto(kappa)
-    m = abs(field.disc)
-    inert = bytearray(m) if m < kappa else None
-    for p in primes:
-        if inert is not None and inert[p % m]:
-            if p * p <= kappa:
-                yield [PrimeIdeal(field, p, "inert", 0, 2)]
-            continue
-        above = _primes_above(p, field)
-        if above[0].f == 2:
-            if inert is not None:
-                inert[p % m] = 1
-            if p * p > kappa:
-                continue
-        yield above
-
-
 # ---------------------------------------------------------------------------
 # factorization
 
@@ -374,7 +346,9 @@ def _prime_pool(field: FieldSpec, kappa: int) -> list[PrimeIdeal]:
     so a walk over them can stop at the first norm too large."""
     if kappa < 1:
         raise DomainError("kappa must be >= 1")
-    pool = [prime for above in _split_upto(field, kappa) for prime in above]
+    pool = [
+        prime for p in primes_upto(kappa) for prime in _primes_above(p, field) if prime.norm <= kappa
+    ]
     pool.sort(key=attrgetter("norm"))
     return pool
 

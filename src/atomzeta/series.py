@@ -20,14 +20,9 @@ from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from atomzeta.atoms import _atom_walk, _box_atoms
-from atomzeta.classgroup import class_group, class_group_structure, davenport_constant
+from atomzeta.classgroup import _split_upto, class_group, class_group_structure, davenport_constant
 from atomzeta.errors import CapExceededError, DomainError
-from atomzeta.ideals import (
-    FactoredIdeal,
-    Ideal,
-    _factor_rational,
-    _split_upto,
-)
+from atomzeta.ideals import FactoredIdeal, Ideal, _factor_rational, _primes_above
 from atomzeta.ring import FieldSpec
 from atomzeta.sieve import SIEVE_LIMIT, factorint, primes_upto
 
@@ -138,8 +133,10 @@ def parse_aset(spec: str) -> ASetSpec:
         return ASetSpec("atoms-dividing", xset=XSetSpec("primes"))
     if spec.startswith("atoms-dividing:"):
         xset = parse_xset(spec.split(":", 1)[1])
-        # an atom (a) divides N(a) = a * conj(a), so X = all gives all atoms
-        return ASetSpec("all-atoms" if xset.kind == "all" else "atoms-dividing", xset=xset)
+        # an atom (a) divides N(a) = a * conj(a), so X = N (all, or ap:a,1
+        # with a <= 1) gives all atoms
+        whole = xset.kind == "all" or (xset.kind == "ap" and xset.q == 1 and xset.a <= 1)
+        return ASetSpec("all-atoms" if whole else "atoms-dividing", xset=xset)
     raise DomainError(f"unknown ideal-set token: {spec!r}")
 
 
@@ -147,45 +144,57 @@ def parse_aset(spec: str) -> ASetSpec:
 # set builders
 
 
+def _prime_members(field: FieldSpec, aspec: ASetSpec, kappa: int):
+    """(p, f, k, above, m, whole) for each prime p <= kappa that gives the
+    prime ideals or the atoms dividing the primes members of norm <= kappa,
+    off `classgroup._split_upto` (above is None where it skipped the split):
+    with whole false, each of the k primes above p, of norm p^f; with whole
+    true, (p) alone, of norm p^2.  m is the least member of X each divides,
+    1 for the prime ideals.  (p) is P P', P^2 or P itself, and a conjugate
+    has the inverse class: the atoms dividing p are the primes above it if
+    they are principal, else (p)."""
+    ideals = aspec.kind == "prime-ideals"
+    for p, f, k, g, above in _split_upto(field, kappa):
+        if ideals or not any(g):
+            yield p, f, k, above, 1 if ideals else p, False
+        elif p * p <= kappa:
+            yield p, f, k, above, p, True
+
+
 def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
     """(norm, least m, parts) for each ideal of norm <= kappa in an ideal
     set, once each, where parts = ((PrimeIdeal, k), ...) is its prime
     factorization.
 
-    Prime ideals and all-atoms have m = 1 and stream from `_split_upto`.
-    Atoms dividing X come in order of least m in X: read off the splitting
-    of m and the class vector of a prime above it when X is the primes,
-    else from the zero-sum-free walk over the box of (m).  All-atoms come
-    from the same walk over every prime ideal of norm <= kappa (atoms are
-    the minimal zero-sum sequences of the block monoid over Cl(K)).  Every
+    Prime ideals and atoms dividing the primes come from `_prime_members`,
+    split again by `_primes_above` where the pass read p off its table.
+    All-atoms have m = 1 and come from the zero-sum-free walk over every
+    prime ideal of norm <= kappa (atoms are the minimal zero-sum sequences
+    of the block monoid over Cl(K)); atoms dividing any other X come in
+    order of least m in X, from the same walk over the box of (m).  Every
     field, real or not, reads the one class_group(field).
     """
-    pool = (prime for above in _split_upto(field, kappa) for prime in above)
-    if aspec.kind == "prime-ideals":
-        for prime in pool:
-            yield prime.norm, 1, ((prime, 1),)
-        return
+    if aspec.kind not in ("prime-ideals", "all-atoms", "atoms-dividing"):
+        raise DomainError(f"unknown ideal-set kind {aspec.kind!r}")
     if aspec.kind == "all-atoms":
+        pool = (
+            prime
+            for p, _, _, _, above in _split_upto(field, kappa)
+            for prime in above or _primes_above(p, field)
+        )
         # the norm cap bounds every exponent
         for norm, parts in _box_atoms(field, zip(pool, repeat(kappa)), kappa):
             yield norm, 1, parts
         return
-    if aspec.kind != "atoms-dividing":
-        raise DomainError(f"unknown ideal-set kind {aspec.kind!r}")
-    if aspec.xset.kind == "primes":
-        # (m) is P P', P^2 or P itself, and a conjugate has the inverse class:
-        # the atoms dividing m are the primes above m if they are principal,
-        # else (m)
-        group = class_group(field)
-        for primes in _split_upto(field, kappa):
-            m = primes[0].p
-            if not any(group.prime_vector(primes[0])):
-                for prime in primes:
-                    yield prime.norm, m, ((prime, 1),)
-            elif m * m <= kappa:
-                yield m * m, m, tuple(
-                    (prime, 2 if prime.kind == "ramified" else 1) for prime in primes
+    if aspec.kind == "prime-ideals" or aspec.xset == XSetSpec("primes"):
+        for p, _, _, above, m, whole in _prime_members(field, aspec, kappa):
+            above = above or _primes_above(p, field)
+            if whole:
+                yield p * p, m, tuple(
+                    (prime, 2 if prime.kind == "ramified" else 1) for prime in above
                 )
+            else:
+                yield from ((prime.norm, m, ((prime, 1),)) for prime in above)
         return
     seen = set()
     for m in aspec.xset.members_upto(kappa):
@@ -199,21 +208,21 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
 
 def _atom_norms(field: FieldSpec, kappa: int):
     """The norm of every atom ideal of norm <= kappa, once each and in no
-    set order, with no factorization built and no PrimeIdeal kept: the
-    primes stream from `_split_upto`, a principal prime is an atom on its
-    own, and the others feed `_atom_walk` in norm order (a non-principal
-    prime has degree 1, and its conjugate the inverse class)."""
+    set order, with no factorization built and no PrimeIdeal kept: a
+    principal prime is an atom on its own, and the others feed
+    `_atom_walk` in norm order (a non-principal prime has degree 1, and its
+    conjugate the inverse class), norms and classes read off
+    `classgroup._split_upto`."""
     group = class_group(field)
     principal = []
 
     def walked():
-        for above in _split_upto(field, kappa):
-            p, g = above[0].p, group.prime_vector(above[0])
+        for p, f, k, g, _ in _split_upto(field, kappa):
             if not any(g):
-                principal.extend(prime.norm for prime in above)
+                principal.extend(repeat(p**f, k))
                 continue
             yield p, g, kappa  # the norm cap bounds every exponent
-            if len(above) == 2:
+            if k == 2:
                 yield p, group.neg(g), kappa
 
     yield from map(itemgetter(0), _atom_walk(group, walked(), kappa))
@@ -367,10 +376,15 @@ def divergence_table(
         raise DomainError("kappa must be >= 1")
     # one build at the largest kappa, kept as (norm, least m in X) with
     # m = 1 for sets not drawn from X; a row counts the pairs with both <= kappa
+    top = kappa_grid[-1]
     if aspec.kind == "all-atoms":
-        table = [(n, 1) for n in _atom_norms(field, kappa_grid[-1])]
+        table = [(n, 1) for n in _atom_norms(field, top)]
+    elif aspec.kind == "prime-ideals" or aspec.xset == XSetSpec("primes"):
+        table = []  # norms only: no PrimeIdeal where the pass read p off its table
+        for p, f, k, _, m, whole in _prime_members(field, aspec, top):
+            table += [(p * p, m)] if whole else [(p**f, m)] * k
     else:
-        table = [(n, m) for n, m, _ in _atom_parts(field, aspec, kappa_grid[-1])]
+        table = [(n, m) for n, m, _ in _atom_parts(field, aspec, top)]
     rows = []
     for kappa in kappa_grid:
         norms = [n for n, m in table if n <= kappa and m <= kappa]

@@ -7,7 +7,8 @@ scan, ideal enumeration from a raw HNF triple scan, prime ideals from a
 scan of every b mod p, class groups from counting f^(p^k) = 1 over every
 reduced form, atom factorizations from a scan of every sub-product in
 order, atom sets from a level-by-level sub-box search, the walk's step
-table from the walk that recomputes every node's subsum set, Davenport
+table from the walk that recomputes every node's subsum set, the classes
+read off the residue table from splitting and reducing every prime, Davenport
 constants from a subset-sum search over tuples, the Euler sum from a
 term-by-term mpmath loop, primes from trial division, factorizations and
 primality from sympy, and so on.
@@ -587,6 +588,22 @@ def atom_walk_direct(field: FieldSpec, fac, cap: int):
                 stack.append((j + 1, n2, box, s, sub))
                 n2 *= q
                 e += 1
+
+
+def split_per_prime(field: FieldSpec, kappa: int):
+    """(p, f, k, g, above) for each prime p <= kappa, skipping an inert p
+    with p^2 > kappa, as classgroup._split_upto gives them: the per-prime
+    pass its residue table replaced, which splits every p with
+    _primes_above and reduces the form of its first prime for g."""
+    from atomzeta.classgroup import class_group
+    from atomzeta.ideals import _primes_above
+    from atomzeta.sieve import primes_upto
+
+    group = class_group(field)
+    for p in primes_upto(kappa):
+        above = _primes_above(p, field)
+        if above[0].f == 1 or p * p <= kappa:
+            yield p, above[0].f, len(above), group.prime_vector(above[0]), above
 
 
 def all_atoms_per_ideal(field: FieldSpec, kappa: int) -> list[int]:

@@ -1,6 +1,8 @@
 import random
 import sys
 import time
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +10,7 @@ from atomzeta.classgroup import (
     AbelianGroupSpec,
     QuadForm,
     _principal_walk,
+    _split_upto,
     class_group,
     class_group_structure,
     class_number,
@@ -22,7 +25,7 @@ from atomzeta.classgroup import (
     reduce_form,
 )
 from atomzeta.errors import CapExceededError, DomainError
-from atomzeta.ideals import ideal_mul, primes_above, principal_ideal
+from atomzeta.ideals import ideal_mul, kronecker_symbol, primes_above, principal_ideal
 from atomzeta.ring import is_associated, is_squarefree, make_field, rational_field
 from oracles import (
     class_invariants_by_counting,
@@ -33,6 +36,7 @@ from oracles import (
     principal_by_unit_band,
     reduced_forms,
     reduced_forms_brute,
+    split_per_prime,
 )
 
 F1 = make_field(-1)
@@ -367,6 +371,82 @@ def test_prime_vectors_match_hnf_form_path():
                 kinds.add(prime.kind)
                 assert group.prime_vector(prime) == group.vector(prime.ideal), (d, p, prime.b)
         assert kinds == {"split", "inert", "ramified"}, d
+
+
+def test_split_upto_classes_match_per_prime_oracle():
+    # when Cl(K) is 2-torsion the residue table answers (f, k, g) for every
+    # later prime of a residue (genus theory), else for inert residues only;
+    # the oracle splits and reduces every p.  kappa on both sides of |D| (the
+    # table is kept only when |D| < kappa) and at 3|D|, in every field with
+    # |d| < 400, in Z/2^3, Z/2^4, real Z/2^2, Z/2 x Z/8, real Z/3 and in Q
+    ds = [d for d in range(-399, 400) if d not in (0, 1) and is_squarefree(d)]
+    for f in [make_field(d) for d in ds + [-1155, -1365, 210, -221, 79]] + [rational_field()]:
+        d, m = f.d, abs(f.disc)
+        for kappa in (m - 1, m + 1, 3 * m):
+            got = list(_split_upto(f, kappa))
+            want = list(split_per_prime(f, kappa))
+            assert [t[:4] for t in got] == [t[:4] for t in want], (d, kappa)
+            for (_, _, _, _, above), (*_, split) in zip(got, want):
+                assert above in (None, split), (d, kappa)
+
+
+def test_split_upto_takes_square_roots_by_residue(monkeypatch):
+    # in Z/2 (d = -5, |D| = 20) a pass takes one square root per residue,
+    # whichever consumer runs it; in Z/4 (d = -14) it takes one per split p,
+    # and only an inert residue seen before skips its square root
+    from atomzeta import ideals
+    from atomzeta.series import _atom_norms, divergence_table, parse_aset
+
+    calls = []
+    sqrt = ideals.sqrt_mod_prime
+    monkeypatch.setattr(ideals, "sqrt_mod_prime", lambda n, p: calls.append(p) or sqrt(n, p))
+    kappa, half = 10**5, Fraction(1, 2)
+    for d, genera in ((-5, True), (-14, False)):
+        f = make_field(d)
+        class_group(f)
+        m = abs(f.disc)
+        seen, want = set(), 0  # p = 2 takes no square root
+        for p in primes_trial(kappa)[1:]:
+            if (genera and m % p) or kronecker_symbol(f.disc, p) == -1:
+                if p % m in seen:
+                    continue
+                seen.add(p % m)
+            want += 1
+        consumers = (
+            lambda: list(_split_upto(f, kappa)),
+            lambda: list(_atom_norms(f, kappa)),
+            lambda: divergence_table(f, parse_aset("atoms-dividing:primes"), half, [kappa]),
+            lambda: divergence_table(f, parse_aset("prime-ideals"), half, [kappa]),
+        )
+        for consume in consumers:
+            calls.clear()
+            consume()
+            assert len(calls) == want <= (m if genera else kappa), d
+
+
+def test_split_upto_table_is_one_byte_per_residue():
+    # |D| = 999995 just under kappa = 10^6 keeps the table, kappa = |D| does
+    # not; the memory live at the first prime differs by the table, about one
+    # byte per residue (a list of |D| slots would take eight), and the table
+    # is no longer than twice the sieve's mask of (kappa + 1) // 2 bytes
+    f = make_field(-999995)
+    class_group(f)
+    m = abs(f.disc)
+
+    def live(kappa):
+        tracemalloc.start()
+        try:
+            stream = _split_upto(f, kappa)
+            next(stream)
+            return tracemalloc.get_traced_memory()[0], stream.gi_frame.f_locals["table"]
+        finally:
+            tracemalloc.stop()
+
+    with_table, table = live(10**6)
+    without, none = live(m)
+    assert none is None and isinstance(table, bytearray)
+    assert len(table) == m <= 2 * ((10**6 + 1) // 2)
+    assert m < with_table - without < 1.05 * m
 
 
 def test_abelian_group_spec_validation():

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -288,6 +289,26 @@ def test_atoms_dividing_all_are_all_atoms():
             assert table == want, (f.label(), s)
 
 
+def test_atoms_dividing_ap_step_one_from_one_are_all_atoms():
+    # ap:a,1 with a <= 1 lists every m >= 1, so its set is all atoms, read
+    # off the all-atoms walk under its own label; the spec built by hand
+    # walks m by m.  ap:2,1 and ap:1,2 miss m = 1 or 2, and stay per m
+    grid = [10, 300, 2000]
+    for a in (1, 0, -3):
+        spec = parse_aset(f"atoms-dividing:ap:{a},1")
+        assert spec.kind == "all-atoms" and spec.label() == f"atoms-dividing:ap:{a},1"
+        per_m = ASetSpec("atoms-dividing", XSetSpec("ap", a=a, q=1))
+        for f in (F5, make_field(-221), make_field(79), Q):
+            for s in (Fraction(1, 2), Fraction(1)):
+                want = divergence_table(f, per_m, s, grid)
+                assert divergence_table(f, spec, s, grid) == want, (a, f.label(), s)
+    for other in ("ap:2,1", "ap:1,2"):
+        assert parse_aset(f"atoms-dividing:{other}").kind == "atoms-dividing", other
+    start = time.perf_counter()
+    divergence_table(F5, parse_aset("atoms-dividing:ap:1,1"), Fraction(1, 2), [10**3, 10**4, 10**5])
+    assert time.perf_counter() - start < 1.0
+
+
 def test_divergence_table_truncates_x_by_least_m():
     # the atom 2 has norm 4 <= 5, but the only member of X it divides is
     # 6 > 5; a norm-only filter of the kappa = 10 set would count it at 5
@@ -301,7 +322,7 @@ def test_divergence_rows_equal_per_kappa_builds():
     grid = [10, 60, 200, 1000]
     for f in (F5, make_field(-23), make_field(2), Q):
         for spec in ("atoms-dividing:all", "atoms-dividing:ap:3,4",
-                     "prime-ideals", "all-atoms"):
+                     "atoms-dividing:primes", "prime-ideals", "all-atoms"):
             aspec = parse_aset(spec)
             built = {k: build_ideal_set(f, aspec, k) for k in grid}
             for s in (Fraction(0), Fraction(1, 2), Fraction(1)):
