@@ -102,42 +102,35 @@ def _box_atoms(field: FieldSpec, fac, cap: int):
     fac = ((PrimeIdeal, e), ...), once each and in no set order; parts =
     ((PrimeIdeal, k), ...) lists its primes in the order of fac.
 
-    A principal prime is an atom on its own and lies in no zero-sum-free
-    box; the other primes go to `_atom_walk`, and an atom's parts are read
-    off the frames it yields.  A non-principal prime has degree 1, so fac
-    in order of p with a split prime next to its conjugate, which has the
-    inverse class, gives the walk its primes in norm order: as
-    factor_ideal, _factor_rational and _split_upto give them.
+    Each prime is classed, a split prime next to its conjugate taking the
+    inverse class, for `_atom_walk`, and an atom's parts are read off the
+    frames it yields.  A non-principal prime has degree 1, so fac in order
+    of p gives the walk its non-principal primes in norm order, as
+    factor_ideal and _factor_rational give them.
     """
     group = class_group(field)
-    primes, walked, g, last = [], [], None, 0
+    walked, g, last = [], None, 0
     for prime, top in fac:
-        if (q := prime.norm) > cap:
-            continue
         g = group.neg(g) if prime.p == last else group.prime_vector(prime)
         last = prime.p
-        if not any(g):
-            yield q, ((prime, 1),)
-        elif walked and q < walked[-1][0]:
-            raise InternalInvariantError("box primes out of norm order")
-        else:
-            primes.append(prime)
-            walked.append((q, g, top))
-    for norm, frames, j, e in _atom_walk(group, walked, cap):
+        walked.append((prime.norm, g, top))
+    for norm, frames, i, e in _atom_walk(group, walked, cap):
         parts = ()
-        for i, k, _, _ in frames:
-            parts += ((primes[i], k),)
-        yield norm, parts + ((primes[j], e),)
+        for h, k, _, _, _ in frames:
+            parts += ((fac[h][0], k),)
+        yield norm, parts + ((fac[i][0], e),)
 
 
 def _atom_walk(group, primes, cap: int):
-    """(norm, frames, j, e) for every atom of norm <= cap over the
-    non-principal primes = ((norm, class, top), ...), given in norm order,
-    with at most top copies of each prime; once each and in no set order.
-    The atom is e copies of the j-th prime times the box of the frames:
-    the walk's live stack, one frame (i, k, norm, state) per distinct
-    prime i < j of that box, with its k copies and the norm and state of
-    the box up to it.  Read the frames before taking the next atom.
+    """(norm, frames, i, e) for every atom of norm <= cap over primes =
+    ((norm, class, top), ...), at most top copies of each, once each and in
+    no set order.  A principal prime is an atom on its own, yielded with no
+    frames as it is read; the others must come in norm order, else
+    InternalInvariantError.  The atom is e copies of the i-th prime times
+    the box of the frames: the walk's live stack, one frame (h, k, norm,
+    state, j) per distinct prime h < i of that box, with its k copies, the
+    norm and state of the box up to it, and its place j in the walk.  Read
+    the frames before taking the next atom.
 
     An atom is a sub-box whose prime classes sum to 0 in Cl(K) while no
     proper nonempty sub-box does, so removing one copy of its last prime
@@ -160,16 +153,23 @@ def _atom_walk(group, primes, cap: int):
     bit mask of S over walk-local class ids (t lies in S, so t + g is read
     off S + g), and each has a row of steps indexed by prime class id: -1
     (pruned), 0 (atom) or the next state, filled when a node first takes
-    it.  The table lives for one walk, and a walk with no prime builds
-    none.  The primes are in norm order, so the walk can stop at the
-    first norm too large.
+    it.  The table lives for one walk, and a walk with no non-principal
+    prime builds none.  The primes are in norm order, so the walk can stop
+    at the first norm too large.
     """
     ids: dict[tuple[int, ...], int] = {}  # class -> id, prime classes first
-    norms, cids, tops = [], [], []
-    for q, g, top in primes:
-        norms.append(q)
-        cids.append(ids.setdefault(g, len(ids)))
-        tops.append(top)
+    at, norms, cids, tops = [], [], [], []  # the non-principal primes
+    for i, (q, g, top) in enumerate(primes):
+        if not any(g):
+            if q <= cap:
+                yield q, (), i, 1
+        elif norms and q < norms[-1]:
+            raise InternalInvariantError("non-principal primes out of norm order")
+        else:
+            at.append(i)
+            norms.append(q)
+            cids.append(ids.setdefault(g, len(ids)))
+            tops.append(top)
     if not norms:
         return
     add, neg = group.add, group.neg
@@ -214,7 +214,7 @@ def _atom_walk(group, primes, cap: int):
     # the box stood on: its norm, state, row, and the next prime to add; a
     # box whose last prime cannot be taken once more has no larger box that
     # fits, so it gets no frame
-    stack = []  # frames (j, e, norm, state), one per distinct prime
+    stack = []  # frames (i, e, norm, state, j), one per distinct prime
     norm, state, row, j = 1, 1, rows[1], 0
     while True:
         while (n2 := norm * (q := norms[j])) <= cap:
@@ -224,14 +224,14 @@ def _atom_walk(group, primes, cap: int):
                 nxt = row[c] = step(state, c)
             if nxt > 0:
                 if n2 * q <= cap:
-                    stack.append((j, 1, n2, nxt))
+                    stack.append((at[j], 1, n2, nxt, j))
                     norm, state, row = n2, nxt, rows[nxt]
             elif nxt == 0:
-                yield n2, stack, j, 1
+                yield n2, stack, at[j], 1
             j += 1
         if not stack:
             return
-        j, e, n2, st = stack.pop()
+        _, e, n2, st, j = stack.pop()
         q = norms[j]
         n2 *= q
         if e < tops[j] and n2 <= cap:
@@ -240,13 +240,13 @@ def _atom_walk(group, primes, cap: int):
             if nxt is None:
                 nxt = rows[st][c] = step(st, c)
             if nxt == 0:
-                yield n2, stack, j, e + 1
+                yield n2, stack, at[j], e + 1
             elif nxt > 0 and n2 * q <= cap:
-                stack.append((j, e + 1, n2, nxt))
+                stack.append((at[j], e + 1, n2, nxt, j))
                 norm, state, row = n2, nxt, rows[nxt]
                 j += 1
                 continue
-        _, _, norm, state = stack[-1] if stack else (0, 0, 1, 1)
+        _, _, norm, state, _ = stack[-1] if stack else (0, 0, 1, 1, 0)
         row = rows[state]
         j += 1
 

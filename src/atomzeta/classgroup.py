@@ -313,6 +313,7 @@ class ClassGroup:
     def add(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((x + y) % m for x, y, m in zip(u, v, self.invariants))
 
+    @lru_cache(maxsize=None)  # at most h entries a group; walks ask once per prime
     def neg(self, v: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(-x % m for x, m in zip(v, self.invariants))
 
@@ -409,30 +410,29 @@ def class_group(field: FieldSpec) -> ClassGroup:
     return group
 
 
-def _split_upto(field: FieldSpec, kappa: int):
+def _split_upto(field: FieldSpec, kappa: int, group: ClassGroup | None):
     """(p, f, k, g, above) for each prime p <= kappa in order, skipping an
     inert p with p^2 > kappa: the residue degree f and number k of the
-    primes above p, the class vector g of the first of them (the other has
-    -g), and their list when this pass split p, else None.
+    primes above p, the class g in group of the first (the other has -g;
+    None with no group), and their list if this pass split p, else None.
 
     For a fundamental discriminant D and p not dividing D, (D | p) depends
     only on p mod |D| (quadratic reciprocity; Cohen, GTM 138), and so does
     the genus of a prime above p, read off the genus characters at p (Cox,
     Primes of the Form x^2 + ny^2, section 3).  When every invariant of
     Cl(K) is 2 (the trivial group and real wide groups included), the map
-    from forms to Cl(K) kills squares, so a class is fixed by its genus: a
-    residue split once answers (f, k, g) for every later prime with it,
-    with no square root and no reduction.  In other groups only an inert
-    residue does.  A table byte numbers the residue's answer, 0 while it is
-    unseen.  With |D| < kappa <= SIEVE_LIMIT, D has at most 8 prime
-    factors, so such a group has h <= 2^7 and a byte holds each of its at
-    most h + 1 answers.  The table is kept only when |D| < kappa: else no
-    two primes <= kappa share a residue.  The sieve runs first, so its cap
-    fires before the class group and the table are built, and the table is
-    then never more than twice the sieve's mask."""
+    from forms to Cl(K) kills squares, so a class is fixed by its genus.
+    So with no group, or such a group, a residue split once answers
+    (f, k, g) for every later prime with it, with no square root and no
+    reduction.  In other groups only an inert residue does.  A table byte
+    numbers the residue's answer, 0 while it is unseen.  With |D| < kappa
+    <= SIEVE_LIMIT, D has at most 8 prime factors, so such a group has
+    h <= 2^7 and a byte holds each of its at most h + 1 answers.  The
+    table is kept only when |D| < kappa: else no two primes <= kappa share
+    a residue.  The sieve runs first, so its cap fires before the table is
+    built, and the table is then never more than twice the sieve's mask."""
     primes = primes_upto(kappa)
-    group = class_group(field)
-    genera = set(group.invariants) <= {2}
+    genera = group is None or set(group.invariants) <= {2}
     m = abs(field.disc)
     table = bytearray(m) if m < kappa else None
     answers, codes = [None], {}  # table byte <-> (f, k, g)
@@ -441,7 +441,7 @@ def _split_upto(field: FieldSpec, kappa: int):
             (f, k, g), above = answers[i], None
         else:
             above = _primes_above(p, field)
-            f, k, g = above[0].f, len(above), group.prime_vector(above[0])
+            f, k, g = above[0].f, len(above), group and group.prime_vector(above[0])
             if table is not None and m % p and (genera or f == 2):
                 if (f, k, g) not in codes:
                     codes[f, k, g] = len(answers)

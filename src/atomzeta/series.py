@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from functools import cache
 from math import e as _E, isqrt, log
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -152,9 +152,9 @@ def _prime_members(field: FieldSpec, aspec: ASetSpec, kappa: int):
     true, (p) alone, of norm p^2.  m is the least member of X each divides,
     1 for the prime ideals.  (p) is P P', P^2 or P itself, and a conjugate
     has the inverse class: the atoms dividing p are the primes above it if
-    they are principal, else (p)."""
+    they are principal, else (p).  The prime ideals read no class."""
     ideals = aspec.kind == "prime-ideals"
-    for p, f, k, g, above in _split_upto(field, kappa):
+    for p, f, k, g, above in _split_upto(field, kappa, None if ideals else class_group(field)):
         if ideals or not any(g):
             yield p, f, k, above, 1 if ideals else p, False
         elif p * p <= kappa:
@@ -166,25 +166,27 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
     set, once each, where parts = ((PrimeIdeal, k), ...) is its prime
     factorization.
 
-    Prime ideals and atoms dividing the primes come from `_prime_members`,
-    split again by `_primes_above` where the pass read p off its table.
-    All-atoms have m = 1 and come from the zero-sum-free walk over every
-    prime ideal of norm <= kappa (atoms are the minimal zero-sum sequences
-    of the block monoid over Cl(K)); atoms dividing any other X come in
-    order of least m in X, from the same walk over the box of (m).  Every
-    field, real or not, reads the one class_group(field).
+    Prime ideals and atoms dividing the primes come from `_prime_members`
+    and all-atoms (m = 1) from `_all_atoms` (atoms are the minimal
+    zero-sum sequences of the block monoid over Cl(K)); a p the pass read
+    off its table is split again only for the parts.  Atoms dividing any
+    other X come in order of least m in X, from the same walk over the box
+    of (m).  Every field, real or not, reads the one class_group(field).
     """
     if aspec.kind not in ("prime-ideals", "all-atoms", "atoms-dividing"):
         raise DomainError(f"unknown ideal-set kind {aspec.kind!r}")
     if aspec.kind == "all-atoms":
-        pool = (
-            prime
-            for p, _, _, _, above in _split_upto(field, kappa)
-            for prime in above or _primes_above(p, field)
-        )
-        # the norm cap bounds every exponent
-        for norm, parts in _box_atoms(field, zip(pool, repeat(kappa)), kappa):
-            yield norm, 1, parts
+        keys, split = [], cache(lambda p: _primes_above(p, field))
+
+        def prime(h: int):  # the c-th prime above p at walk position h
+            p, c, above = keys[h]
+            return (above or split(p))[c]
+
+        for norm, frames, i, e in _all_atoms(field, kappa, keys):
+            parts = ()
+            for h, k, _, _, _ in frames:
+                parts += ((prime(h), k),)
+            yield norm, 1, parts + ((prime(i), e),)
         return
     if aspec.kind == "prime-ideals" or aspec.xset == XSetSpec("primes"):
         for p, _, _, above, m, whole in _prime_members(field, aspec, kappa):
@@ -206,27 +208,22 @@ def _atom_parts(field: FieldSpec, aspec: ASetSpec, kappa: int):
                 yield norm, m, parts
 
 
-def _atom_norms(field: FieldSpec, kappa: int):
-    """The norm of every atom ideal of norm <= kappa, once each and in no
-    set order, with no factorization built and no PrimeIdeal kept: a
-    principal prime is an atom on its own, and the others feed
-    `_atom_walk` in norm order (a non-principal prime has degree 1, and its
-    conjugate the inverse class), norms and classes read off
-    `classgroup._split_upto`."""
+def _all_atoms(field: FieldSpec, kappa: int, keys: list | None = None):
+    """`_atom_walk` over every prime ideal of norm <= kappa, read off
+    `classgroup._split_upto`, a split prime next to its conjugate, which
+    has the inverse class.  keys, if given, gets (p, c, above) for the
+    c-th prime above p at each walk position."""
     group = class_group(field)
-    principal = []
 
     def walked():
-        for p, f, k, g, _ in _split_upto(field, kappa):
-            if not any(g):
-                principal.extend(repeat(p**f, k))
-                continue
-            yield p, g, kappa  # the norm cap bounds every exponent
+        for p, f, k, g, above in _split_upto(field, kappa, group):
+            if keys is not None:
+                keys.extend((p, c, above) for c in range(k))
+            yield p**f, g, kappa  # the norm cap bounds every exponent
             if k == 2:
                 yield p, group.neg(g), kappa
 
-    yield from map(itemgetter(0), _atom_walk(group, walked(), kappa))
-    yield from principal
+    return _atom_walk(group, walked(), kappa)
 
 
 def build_ideal_set(field: FieldSpec, aspec: ASetSpec, kappa: int) -> list[Ideal]:
@@ -378,7 +375,7 @@ def divergence_table(
     # m = 1 for sets not drawn from X; a row counts the pairs with both <= kappa
     top = kappa_grid[-1]
     if aspec.kind == "all-atoms":
-        table = [(n, 1) for n in _atom_norms(field, top)]
+        table = [(n, 1) for n, _, _, _ in _all_atoms(field, top)]
     elif aspec.kind == "prime-ideals" or aspec.xset == XSetSpec("primes"):
         table = []  # norms only: no PrimeIdeal where the pass read p off its table
         for p, f, k, _, m, whole in _prime_members(field, aspec, top):
@@ -448,7 +445,7 @@ def atom_census(field: FieldSpec, kappa: int) -> CensusTable:
     if kappa < 1:
         raise DomainError("kappa must be >= 1")
     d_const = davenport_constant(class_group_structure(field))
-    norms = Counter(_atom_norms(field, kappa))
+    norms = Counter(map(itemgetter(0), _all_atoms(field, kappa)))
     counts = tuple(sorted(norms.items()))
     return CensusTable(field.label(), kappa, counts, d_const)
 

@@ -590,20 +590,20 @@ def atom_walk_direct(field: FieldSpec, fac, cap: int):
                 e += 1
 
 
-def split_per_prime(field: FieldSpec, kappa: int):
+def split_per_prime(field: FieldSpec, kappa: int, group):
     """(p, f, k, g, above) for each prime p <= kappa, skipping an inert p
     with p^2 > kappa, as classgroup._split_upto gives them: the per-prime
     pass its residue table replaced, which splits every p with
-    _primes_above and reduces the form of its first prime for g."""
-    from atomzeta.classgroup import class_group
+    _primes_above and reduces the form of its first prime for g in group
+    (None with no group)."""
     from atomzeta.ideals import _primes_above
     from atomzeta.sieve import primes_upto
 
-    group = class_group(field)
     for p in primes_upto(kappa):
         above = _primes_above(p, field)
+        g = None if group is None else group.prime_vector(above[0])
         if above[0].f == 1 or p * p <= kappa:
-            yield p, above[0].f, len(above), group.prime_vector(above[0]), above
+            yield p, above[0].f, len(above), g, above
 
 
 def all_atoms_per_ideal(field: FieldSpec, kappa: int) -> list[int]:

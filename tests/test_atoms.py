@@ -176,6 +176,11 @@ def test_atom_walk_step_table_matches_direct_walk():
     assert len(box) > 2
     assert Counter(_box_atoms(F5, box, 10**9)) == Counter(atom_walk_direct(F5, box, 10**9))
     assert list(_atom_walk(None, [], 10**9)) == []
+    # so the walk takes principal primes with no group at all, each an atom
+    # with no frames at its input position, in any order, those of norm
+    # above the cap left out
+    principal = [(9, (0,), 3), (2, (0,), 1), (49, (0,), 2), (5, (0,), 1)]
+    assert list(_atom_walk(None, principal, 10)) == [(9, (), 0, 1), (2, (), 1, 1), (5, (), 3, 1)]
 
 
 def test_box_atoms_refuses_non_principal_primes_out_of_norm_order():
@@ -197,18 +202,16 @@ def test_atom_walk_holds_at_most_davenport_minus_one_frames():
     # the frames the walk yields with each atom are the path to it: one
     # per distinct prime of the zero-sum-free box the atom's last copy
     # completes, so never more than D(G) - 1 of them; Z/2 x Z/8 (D = 9) and
-    # Z/44 (D = 44) at kappa = 1e5
+    # Z/44 (D = 44) at kappa = 1e5, over every prime ideal, a principal one
+    # being an atom with no frames
     kappa = 10**5
     for d, davenport in ((-221, 9), (-6631, 44)):
         field = make_field(d)
         group = class_group(field)
-        walked = [
-            (prime.norm, g, kappa)
-            for prime in _prime_pool(field, kappa)
-            if any(g := group.prime_vector(prime))
-        ]
+        walked = [(prime.norm, group.prime_vector(prime), kappa) for prime in _prime_pool(field, kappa)]
         deepest = 0
         for norm, frames, j, e in _atom_walk(group, walked, kappa):
+            assert any(walked[j][1]) or (not frames and e == 1), (d, norm)
             assert len(frames) <= davenport - 1, (d, norm)
             assert [f[0] for f in frames] == sorted({f[0] for f in frames}) and all(
                 f[0] < j for f in frames

@@ -376,26 +376,29 @@ def test_prime_vectors_match_hnf_form_path():
 def test_split_upto_classes_match_per_prime_oracle():
     # when Cl(K) is 2-torsion the residue table answers (f, k, g) for every
     # later prime of a residue (genus theory), else for inert residues only;
-    # the oracle splits and reduces every p.  kappa on both sides of |D| (the
-    # table is kept only when |D| < kappa) and at 3|D|, in every field with
-    # |d| < 400, in Z/2^3, Z/2^4, real Z/2^2, Z/2 x Z/8, real Z/3 and in Q
+    # the oracle splits and reduces every p.  With no group it answers
+    # (f, k) for every residue, and g is None.  kappa on both sides of |D|
+    # (the table is kept only when |D| < kappa) and at 3|D|, in every field
+    # with |d| < 400, in Z/2^3, Z/2^4, real Z/2^2, Z/2 x Z/8, real Z/3 and Q
     ds = [d for d in range(-399, 400) if d not in (0, 1) and is_squarefree(d)]
     for f in [make_field(d) for d in ds + [-1155, -1365, 210, -221, 79]] + [rational_field()]:
         d, m = f.d, abs(f.disc)
         for kappa in (m - 1, m + 1, 3 * m):
-            got = list(_split_upto(f, kappa))
-            want = list(split_per_prime(f, kappa))
-            assert [t[:4] for t in got] == [t[:4] for t in want], (d, kappa)
-            for (_, _, _, _, above), (*_, split) in zip(got, want):
-                assert above in (None, split), (d, kappa)
+            for group in (class_group(f), None):
+                got = list(_split_upto(f, kappa, group))
+                want = list(split_per_prime(f, kappa, group))
+                assert [t[:4] for t in got] == [t[:4] for t in want], (d, kappa, group is None)
+                for (_, _, _, g, above), (*_, split) in zip(got, want):
+                    assert above in (None, split) and (g is None) == (group is None), (d, kappa)
 
 
 def test_split_upto_takes_square_roots_by_residue(monkeypatch):
     # in Z/2 (d = -5, |D| = 20) a pass takes one square root per residue,
     # whichever consumer runs it; in Z/4 (d = -14) it takes one per split p,
-    # and only an inert residue seen before skips its square root
+    # and only an inert residue seen before skips its square root, except
+    # for the prime ideals, which read no class: one per residue there too
     from atomzeta import ideals
-    from atomzeta.series import _atom_norms, divergence_table, parse_aset
+    from atomzeta.series import _all_atoms, divergence_table, parse_aset
 
     calls = []
     sqrt = ideals.sqrt_mod_prime
@@ -405,23 +408,25 @@ def test_split_upto_takes_square_roots_by_residue(monkeypatch):
         f = make_field(d)
         class_group(f)
         m = abs(f.disc)
-        seen, want = set(), 0  # p = 2 takes no square root
-        for p in primes_trial(kappa)[1:]:
-            if (genera and m % p) or kronecker_symbol(f.disc, p) == -1:
-                if p % m in seen:
-                    continue
-                seen.add(p % m)
-            want += 1
+        want = {}  # by residue or not -> square roots
+        for by_residue in {genera, True}:
+            seen, want[by_residue] = set(), 0  # p = 2 takes no square root
+            for p in primes_trial(kappa)[1:]:
+                if (by_residue and m % p) or kronecker_symbol(f.disc, p) == -1:
+                    if p % m in seen:
+                        continue
+                    seen.add(p % m)
+                want[by_residue] += 1
         consumers = (
-            lambda: list(_split_upto(f, kappa)),
-            lambda: list(_atom_norms(f, kappa)),
-            lambda: divergence_table(f, parse_aset("atoms-dividing:primes"), half, [kappa]),
-            lambda: divergence_table(f, parse_aset("prime-ideals"), half, [kappa]),
+            (genera, lambda: list(_split_upto(f, kappa, class_group(f)))),
+            (genera, lambda: list(_all_atoms(f, kappa))),
+            (genera, lambda: divergence_table(f, parse_aset("atoms-dividing:primes"), half, [kappa])),
+            (True, lambda: divergence_table(f, parse_aset("prime-ideals"), half, [kappa])),
         )
-        for consume in consumers:
+        for by_residue, consume in consumers:
             calls.clear()
             consume()
-            assert len(calls) == want <= (m if genera else kappa), d
+            assert len(calls) == want[by_residue] <= (m if by_residue else kappa), d
 
 
 def test_split_upto_table_is_one_byte_per_residue():
@@ -436,7 +441,7 @@ def test_split_upto_table_is_one_byte_per_residue():
     def live(kappa):
         tracemalloc.start()
         try:
-            stream = _split_upto(f, kappa)
+            stream = _split_upto(f, kappa, class_group(f))
             next(stream)
             return tracemalloc.get_traced_memory()[0], stream.gi_frame.f_locals["table"]
         finally:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from atomzeta.classgroup import _split_upto
+from atomzeta.classgroup import _split_upto, class_group
 from atomzeta.errors import DomainError, ZeroElementError
 from atomzeta.ideals import (
     FactoredIdeal,
@@ -146,7 +146,8 @@ def test_split_upto_matches_per_prime_splitting():
     # <= kappa (an inert p with p^2 > kappa leaves nothing), at kappa on both sides of |D| (the table is kept only when
     # |D| < kappa) and at kappa = 23^2, an inert p^2 read off the table for
     # d = -3 and 5.  For d = 5 (mod 8), 2 is inert and, when |D| is odd,
-    # shares residue 2 with the odd primes p = 2 (mod |D|)
+    # shares residue 2 with the odd primes p = 2 (mod |D|).  With no class
+    # group the table answers split residues too, in every field
     fields = [make_field(d) for d in (-3, 5, -11, 13, -1, -5, -14, -23, -221, 2, 10, 79, 631,
                                       999999937, -999999937)] + [rational_field()]
     for f in fields:
@@ -155,11 +156,10 @@ def test_split_upto_matches_per_prime_splitting():
         above = {p: primes_above(p, f) for p in primes_upto(max(kappas))}
         for kappa in sorted(kappas):
             want = [[prime for prime in above[p] if prime.norm <= kappa] for p in primes_upto(kappa)]
-            got = [built or _primes_above(p, f) for p, _, _, _, built in _split_upto(f, kappa)]
-            assert got == [primes for primes in want if primes], (
-                f.label(),
-                kappa,
-            )
+            for group in (None, class_group(f)):
+                stream = _split_upto(f, kappa, group)
+                got = [built or _primes_above(p, f) for p, _, _, _, built in stream]
+                assert got == [primes for primes in want if primes], (f.label(), kappa, group is None)
 
 
 def test_prime_hnf_oracle_matches_maximal_hnfs():

@@ -7,6 +7,7 @@ import pytest
 
 from atomzeta.atoms import atom_ideals_dividing
 from atomzeta.errors import DomainError
+from atomzeta.ideals import kronecker_symbol, primes_above
 from atomzeta.ring import make_field, rational_field
 from atomzeta.series import (
     DEFAULT_PREC_BITS,
@@ -119,6 +120,44 @@ def test_build_atoms_dividing_union():
 def test_build_ideal_set_rejects_bad_kappa():
     with pytest.raises(DomainError):
         build_ideal_set(F1, parse_aset("all-atoms"), 0)
+
+
+def test_all_atoms_class_each_streamed_prime_once(monkeypatch):
+    # build_ideal_set over all atoms reads each prime's class off the one
+    # splitting pass: one reduction per prime that the pass classed (split
+    # or ramified, the table answering only inert residues in Z/4), where
+    # classing the walk's box again took two
+    from atomzeta import classgroup
+
+    f, kappa = make_field(-14), 10**4
+    classgroup.class_group(f)
+    classed = sum(1 for p in primes_upto(kappa) if kronecker_symbol(f.disc, p) != -1)
+    calls = []
+    reduce = classgroup._reduce
+    monkeypatch.setattr(classgroup, "_reduce", lambda *form: calls.append(form) or reduce(*form))
+    ideals = build_ideal_set(f, parse_aset("all-atoms"), kappa)
+    assert len(calls) == classed > 500
+    assert sorted(i.norm for i in ideals) == all_atoms_per_ideal(f, kappa)
+
+
+def test_prime_ideals_build_no_class_group(monkeypatch):
+    # the prime ideals read no class, so neither their ideals nor their
+    # table build the class group (for d = -999999937 it has h = 17,072);
+    # a field no other test asks about
+    from atomzeta import atoms, classgroup, series
+
+    def refuse(field):
+        raise AssertionError("class group built for the prime ideals")
+
+    f, kappa = make_field(-4001), 10**4
+    for mod in (atoms, classgroup, series):
+        monkeypatch.setattr(mod, "class_group", refuse)
+    aset = parse_aset("prime-ideals")
+    ideals = build_ideal_set(f, aset, kappa)
+    above = [prime.ideal for p in primes_upto(kappa) for prime in primes_above(p, f)]
+    assert ideals == sorted((i for i in above if i.norm <= kappa), key=lambda i: i.sort_key())
+    rows = divergence_table(f, aset, Fraction(1), [10**3, kappa]).rows
+    assert [r.count for r in rows] == [sum(i.norm <= k for i in ideals) for k in (10**3, kappa)]
 
 
 # --- partial sums ----------------------------------------------------------
