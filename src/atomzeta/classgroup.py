@@ -132,18 +132,10 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     a2, b2, c2 = f2.a, f2.b, f2.c
     s = (b1 + b2) // 2
     n = b2 - s
-    if a2 % a1 == 0:
-        y1, d = 0, a1
-    else:
-        d, u, _v = _xgcd(a2, a1)
-        y1 = u
-    if s % d == 0:
-        y2, x2, d1 = -1, 0, d
-    else:
-        d1, u, v = _xgcd(s, d)
-        x2, y2 = u, -v
+    d, y1, _ = _xgcd(a2, a1)  # y1 a2 = d (mod a1)
+    d1, x2, v = _xgcd(s, d)  # x2 s + v d = d1
     v1, v2 = a1 // d1, a2 // d1
-    r = (y1 * y2 * n - x2 * c2) % v1
+    r = (-y1 * v * n - x2 * c2) % v1
     b3 = b2 + 2 * v2 * r
     a3 = v1 * v2
     c3 = (c2 * d1 + r * (b2 + v2 * r)) // v1
@@ -235,8 +227,6 @@ def is_principal(ideal: Ideal) -> tuple[bool, RingElement | None]:
     field = ideal.field
     if field.is_rational:
         return True, field.element(ideal.a)
-    if ideal.is_unit_ideal():
-        return True, field.one
     if not is_principal_class(ideal):
         return False, None
     e = _principal_walk(ideal)[1]
@@ -247,8 +237,7 @@ def is_principal(ideal: Ideal) -> tuple[bool, RingElement | None]:
 
 def is_principal_class(ideal: Ideal) -> bool:
     """Principality without extracting a generator, read off the class group."""
-    field = ideal.field
-    return field.is_rational or not any(class_group(field).vector(ideal))
+    return not any(class_group(ideal.field).vector(ideal))
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +399,11 @@ def class_group(field: FieldSpec) -> ClassGroup:
     return group
 
 
-def _split_upto(field: FieldSpec, kappa: int, group: ClassGroup | None):
+def _split_upto(field: FieldSpec, kappa: int, classes: bool):
     """(p, f, k, g, above) for each prime p <= kappa in order, skipping an
     inert p with p^2 > kappa: the residue degree f and number k of the
-    primes above p, the class g in group of the first (the other has -g;
-    None with no group), and their list if this pass split p, else None.
+    primes above p, the class g of the first (the other has -g; None
+    unless classes), and their list if this pass split p, else None.
 
     For a fundamental discriminant D and p not dividing D, (D | p) depends
     only on p mod |D| (quadratic reciprocity; Cohen, GTM 138), and so does
@@ -422,33 +411,38 @@ def _split_upto(field: FieldSpec, kappa: int, group: ClassGroup | None):
     Primes of the Form x^2 + ny^2, section 3).  When every invariant of
     Cl(K) is 2 (the trivial group and real wide groups included), the map
     from forms to Cl(K) kills squares, so a class is fixed by its genus.
-    So with no group, or such a group, a residue split once answers
+    So with no classes, or such a group, a residue split once answers
     (f, k, g) for every later prime with it, with no square root and no
     reduction.  In other groups only an inert residue does.  A table byte
     numbers the residue's answer, 0 while it is unseen.  With |D| < kappa
     <= SIEVE_LIMIT, D has at most 8 prime factors, so such a group has
     h <= 2^7 and a byte holds each of its at most h + 1 answers.  The
     table is kept only when |D| < kappa: else no two primes <= kappa share
-    a residue.  The sieve runs first, so its cap fires before the table is
-    built, and the table is then never more than twice the sieve's mask."""
+    a residue.  The sieve runs at the call, before the group and the table
+    are built, and the table is never more than twice the sieve's mask."""
     primes = primes_upto(kappa)
+    group = class_group(field) if classes else None
     genera = group is None or set(group.invariants) <= {2}
     m = abs(field.disc)
     table = bytearray(m) if m < kappa else None
     answers, codes = [None], {}  # table byte <-> (f, k, g)
-    for p in primes:
-        if table is not None and (i := table[p % m]):
-            (f, k, g), above = answers[i], None
-        else:
-            above = _primes_above(p, field)
-            f, k, g = above[0].f, len(above), group and group.prime_vector(above[0])
-            if table is not None and m % p and (genera or f == 2):
-                if (f, k, g) not in codes:
-                    codes[f, k, g] = len(answers)
-                    answers.append((f, k, g))
-                table[p % m] = codes[f, k, g]
-        if f == 1 or p * p <= kappa:
-            yield p, f, k, g, above
+
+    def stream():
+        for p in primes:
+            if table is not None and (i := table[p % m]):
+                (f, k, g), above = answers[i], None
+            else:
+                above = _primes_above(p, field)
+                f, k, g = above[0].f, len(above), group and group.prime_vector(above[0])
+                if table is not None and m % p and (genera or f == 2):
+                    if (f, k, g) not in codes:
+                        codes[f, k, g] = len(answers)
+                        answers.append((f, k, g))
+                    table[p % m] = codes[f, k, g]
+            if f == 1 or p * p <= kappa:
+                yield p, f, k, g, above
+
+    return stream()
 
 
 def class_number(field: FieldSpec) -> int:

@@ -297,14 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ring = sub.add_parser("ring", help="field invariants and class data")
     common(p_ring)
+    p_ring.set_defaults(handler=cmd_ring)
 
     p_factor = sub.add_parser("factor", help="atom factorization of an element")
     common(p_factor)
+    p_factor.set_defaults(handler=cmd_factor)
     p_factor.add_argument("element", help="a rational integer m, or coordinates x,y; "
                                           "put -- before a token that starts with -")
 
     p_zeta = sub.add_parser("zeta", help="restricted zeta partial sums")
     table(p_zeta)
+    p_zeta.set_defaults(handler=cmd_zeta)
     p_zeta.add_argument("--prec", type=int, default=DEFAULT_PREC_BITS,
                         help=f"mantissa precision in bits (>= {MIN_PREC_BITS})")
     p_zeta.add_argument("--aset", required=True,
@@ -316,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_census = sub.add_parser("census", help="atom census and asymptotic ratios")
     table(p_census)
+    p_census.set_defaults(handler=cmd_census)
     p_census.add_argument("--kappa", required=True, help="norm cutoff, e.g. 1e4")
     return ap
 
@@ -335,15 +339,7 @@ def main(argv: list[str] | None = None) -> int:
             raise DomainError(f"--threads/ATOMZETA_THREADS must be >= 1, not {args.threads}")
         if "prec" in args and args.prec < MIN_PREC_BITS:
             raise DomainError(f"--prec must be >= {MIN_PREC_BITS} bits, not {args.prec}")
-        if args.command == "ring":
-            return cmd_ring(args)
-        if args.command == "factor":
-            return cmd_factor(args)
-        if args.command == "zeta":
-            return cmd_zeta(args)
-        if args.command == "census":
-            return cmd_census(args)
-        raise DomainError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except DomainError as exc:
         print(f"atomzeta: error: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,7 @@
 An ideal is stored as the triple (a, b, c) meaning a*Z + (b + c*w)*Z with
 a, c > 0, 0 <= b < a, c | a and c | b.  This form is unique, so ideal
 equality is plain field-wise comparison.  The absolute norm is a*c
-(or just a for the rational field, where ideals are m*Z).
+(over the rational field, where ideals are m*Z, c = 1).
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ class Ideal:
 
     @property
     def norm(self) -> int:
-        if self.field.is_rational:
-            return self.a
         return self.a * self.c
 
     def generators(self) -> tuple[RingElement, RingElement]:
@@ -56,14 +54,9 @@ class Ideal:
     def contains(self, e: RingElement) -> bool:
         if e.field != self.field:
             raise MixedFieldError("element from a different field")
-        if self.field.is_rational:
-            return e.x % self.a == 0
         if e.y % self.c:
             return False
         return (e.x - (e.y // self.c) * self.b) % self.a == 0
-
-    def is_unit_ideal(self) -> bool:
-        return self.norm == 1
 
     def sort_key(self) -> tuple[int, int, int]:
         return (self.norm, self.a, self.b)
@@ -285,8 +278,6 @@ class FactoredIdeal:
         f = self.field
         if len(self.factors) == 1:
             prime, k = self.factors[0]
-            if k == 1:
-                return prime.ideal
             if k == 2 and prime.kind == "ramified":
                 return Ideal(f, prime.p, 0, prime.p)
         elif len(self.factors) == 2:

@@ -155,8 +155,6 @@ class RingElement:
 
     def conj(self) -> "RingElement":
         f = self.field
-        if f.is_rational:
-            return self
         if f.half_basis:
             # conj(w) = 1 - w
             return RingElement(f, self.x + self.y, -self.y)
@@ -201,7 +199,7 @@ class RingElement:
 
     def __str__(self) -> str:
         f = self.field
-        if f.is_rational or self.y == 0:
+        if self.y == 0:
             return str(self.x)
         w = f.omega_label
         if self.x == 0:

@@ -154,7 +154,7 @@ def _prime_members(field: FieldSpec, aspec: ASetSpec, kappa: int):
     has the inverse class: the atoms dividing p are the primes above it if
     they are principal, else (p).  The prime ideals read no class."""
     ideals = aspec.kind == "prime-ideals"
-    for p, f, k, g, above in _split_upto(field, kappa, None if ideals else class_group(field)):
+    for p, f, k, g, above in _split_upto(field, kappa, not ideals):
         if ideals or not any(g):
             yield p, f, k, above, 1 if ideals else p, False
         elif p * p <= kappa:
@@ -213,10 +213,11 @@ def _all_atoms(field: FieldSpec, kappa: int, keys: list | None = None):
     `classgroup._split_upto`, a split prime next to its conjugate, which
     has the inverse class.  keys, if given, gets (p, c, above) for the
     c-th prime above p at each walk position."""
+    split = _split_upto(field, kappa, True)  # sieves, then builds the group
     group = class_group(field)
 
     def walked():
-        for p, f, k, g, above in _split_upto(field, kappa, group):
+        for p, f, k, g, above in split:
             if keys is not None:
                 keys.extend((p, c, above) for c in range(k))
             yield p**f, g, kappa  # the norm cap bounds every exponent
@@ -297,9 +298,6 @@ def _norm_sum(norms: list[int], s: Fraction, prec_bits: int) -> tuple[mpmath.mpf
 
     count = len(norms)
     prec = max(prec_bits, MIN_PREC_BITS)
-    if s == 0:
-        with mpmath.workprec(prec):
-            return mpmath.mpf(count), count
     a, b = s.numerator, s.denominator
     groups = sorted(Counter(norms).items())
     bits = groups[-1][0].bit_length() if groups else 0

@@ -25,7 +25,9 @@ from atomzeta.classgroup import (
     reduce_form,
 )
 from atomzeta.errors import CapExceededError, DomainError
-from atomzeta.ideals import ideal_mul, kronecker_symbol, primes_above, principal_ideal
+from atomzeta.ideals import (
+    ideal_mul, kronecker_symbol, primes_above, principal_ideal, unit_ideal,
+)
 from atomzeta.ring import is_associated, is_squarefree, make_field, rational_field
 from oracles import (
     class_invariants_by_counting,
@@ -94,6 +96,19 @@ def test_compose_examples():
     g = QuadForm(2, 1, 3)
     assert compose(g, g) == g.opposite()
     assert compose(compose(g, g), g) == principal_form(-23)
+    # real forms where a1 | a2, or d = gcd(a1, a2) divides s = (b1 + b2)/2
+    # (s <= 0 among them): the general xgcd steps give the values these
+    # cases once hard-coded; each result was captured while they did
+    for f1, f2, want in (
+        ((2, 4, -3), (2, 4, -3), (1, 6, -1)),
+        ((2, 14, -15), (6, 10, -9), (3, 16, -5)),
+        ((2, 14, -15), (3, 14, -10), (6, 14, -5)),
+        ((2, 30, -2), (3, 26, -20), (6, 26, -10)),
+        ((2, -4, -3), (3, -2, -3), (1, 6, -1)),
+        ((2, 4, -3), (3, -4, -2), (1, 6, -1)),
+        ((6, -10, -9), (10, -6, -7), (15, 14, -2)),
+    ):
+        assert compose(QuadForm(*f1), QuadForm(*f2)) == want, (f1, f2)
 
 
 def test_compose_group_axioms_random():
@@ -188,6 +203,9 @@ def test_is_principal_examples():
     assert ok and is_associated(gen, F5.element(1, 1))
     ok, gen = is_principal(ideal_mul(p2, p2))
     assert ok and is_associated(gen, F5.element(2))
+    # the unit ideal's form is (1, b, c): the rho-walk stops at once, at 1
+    for f in (F5, make_field(10), make_field(79), rational_field()):
+        assert is_principal(unit_ideal(f)) == (True, f.one), f.label()
 
 
 def test_is_principal_cache_is_bounded():
@@ -385,7 +403,7 @@ def test_split_upto_classes_match_per_prime_oracle():
         d, m = f.d, abs(f.disc)
         for kappa in (m - 1, m + 1, 3 * m):
             for group in (class_group(f), None):
-                got = list(_split_upto(f, kappa, group))
+                got = list(_split_upto(f, kappa, group is not None))
                 want = list(split_per_prime(f, kappa, group))
                 assert [t[:4] for t in got] == [t[:4] for t in want], (d, kappa, group is None)
                 for (_, _, _, g, above), (*_, split) in zip(got, want):
@@ -418,7 +436,7 @@ def test_split_upto_takes_square_roots_by_residue(monkeypatch):
                     seen.add(p % m)
                 want[by_residue] += 1
         consumers = (
-            (genera, lambda: list(_split_upto(f, kappa, class_group(f)))),
+            (genera, lambda: list(_split_upto(f, kappa, True))),
             (genera, lambda: list(_all_atoms(f, kappa))),
             (genera, lambda: divergence_table(f, parse_aset("atoms-dividing:primes"), half, [kappa])),
             (True, lambda: divergence_table(f, parse_aset("prime-ideals"), half, [kappa])),
@@ -441,7 +459,7 @@ def test_split_upto_table_is_one_byte_per_residue():
     def live(kappa):
         tracemalloc.start()
         try:
-            stream = _split_upto(f, kappa, class_group(f))
+            stream = _split_upto(f, kappa, True)
             next(stream)
             return tracemalloc.get_traced_memory()[0], stream.gi_frame.f_locals["table"]
         finally:

@@ -210,6 +210,17 @@ def test_ring_rational_and_real(capsys):
     assert code == 0 and "degree: 1" in out
     code, out, _ = run_cli(capsys, "ring", "-d", "2")
     assert code == 0 and "fundamental unit 1+√2" in out
+    # SHA-256 of `ring` stdout, captured while compose still took its own
+    # branches for a1 | a2 and d | s, and main dispatched by command name
+    for d, digest in (
+        ("Q", "47a77bdc7788bdb5be846d6e197c72b21037e4c510c721a22dec2146329ef8f5"),
+        ("10", "4d0e4ad3e66841a7b4bd0583d748280c0ef2258af098ec7c9c5e98b629d92d44"),
+        ("79", "87103b4c77f804d8de1f009164f2cc337925be7e14c623ac1d151c24eb8ca912"),
+        ("1000081", "36951f5925582815d5360113369fb9c805c8b3a3bc7cc5018fd7a75b43719696"),
+    ):
+        code, out, err = run_cli(capsys, "ring", "-d", d)
+        assert code == 0 and not err, d
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, d
 
 
 def test_ring_bad_d_exit_2(capsys):
@@ -352,14 +363,27 @@ ZETA_GOLDEN = {
 }
 
 
+# the same at --s 0, captured while s = 0 still took a shortcut past the
+# exact terms, which now give n^0 = 1 exactly
+ZETA_S0_GOLDEN = {
+    ("-5", "prime-ideals"): "b648ceb09c6d3c5a0c570b8fcbb86df0017de13f79e67553a3ef155f47880eb1",
+    ("-5", "all-atoms"): "277c708b5c34b65ab37e35f27f6d8bc065cc57965f82e34f25d497fc5b84f912",
+    ("10", "prime-ideals"): "11435058ca7db09f8d8c9eb2489ab220133a8cca3dc8690ce52bcc59759cb09c",
+    ("10", "all-atoms"): "f82c8e69187c2be1b0f178799d114244908b7c4a9005b788642d59f584fc98eb",
+    ("Q", "prime-ideals"): "b5975b4418fe4d2993f207110c26f9f5bed4fd03b5289e5db0e34b5889ef20cf",
+    ("Q", "all-atoms"): "220ff7178295499252a4890c77b3b60df4f6e9b3bca8b91e3e2c02b7b3c145ff",
+}
+
+
 def test_zeta_golden_bytes(capsys):
-    for (d, aset), digest in ZETA_GOLDEN.items():
-        code, out, _ = run_cli(
-            capsys, "zeta", "-d", d, "--aset", aset, "--s", "1/2",
-            "--kappa", "1e1,1e2,1e3",
-        )
-        assert code == 0, (d, aset)
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, aset)
+    for s, golden in (("1/2", ZETA_GOLDEN), ("0", ZETA_S0_GOLDEN)):
+        for (d, aset), digest in golden.items():
+            code, out, _ = run_cli(
+                capsys, "zeta", "-d", d, "--aset", aset, "--s", s,
+                "--kappa", "1e1,1e2,1e3",
+            )
+            assert code == 0, (d, aset, s)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, aset, s)
 
 
 def test_zeta_atoms_dividing_all_golden_reads_the_all_atoms_walk(capsys):
@@ -391,6 +415,12 @@ FACTOR_GOLDEN = {
     "5": "2a30ff32c7a2fe9383c54048276f666a0d71538eb90b5298f73396fb9a450292",
     "10": "e5a46c4ee5b4ed3d5b5e6f60dec1c0ac738552cf8612faef7cd8655514b4f157",
 }
+# `factor -d Q -- TOKEN` stdout, captured while Q's ideals and elements
+# still took their own branches in norm, contains, conj and str
+FACTOR_Q_GOLDEN = {
+    "360": "6f8dd295c72d646939775098f7fd6eb63e2c7831f4b64b3491dd4ef6f88d112f",
+    "-360": "8afca24a0aa81a2900854175bbbfa77ee0f8740707bbc01c4e3c8191375b96b8",
+}
 
 
 def test_factor_golden_bytes(capsys):
@@ -408,6 +438,10 @@ def test_factor_golden_bytes(capsys):
             assert code == 0, (d, tok)
             h.update(out.encode())
         assert h.hexdigest() == digest, d
+    for tok, digest in FACTOR_Q_GOLDEN.items():
+        code, out, _ = run_cli(capsys, "factor", "-d", "Q", "--", tok)
+        assert code == 0, tok
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, tok
 
 
 def test_zeta_output_file(tmp_path, capsys):

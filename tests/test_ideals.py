@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from atomzeta.classgroup import _split_upto, class_group
+from atomzeta.classgroup import _split_upto
 from atomzeta.errors import DomainError, ZeroElementError
 from atomzeta.ideals import (
     FactoredIdeal,
@@ -49,6 +49,13 @@ def test_ideal_norm_by_residue_count():
                 assert not ideal.contains(r1 - r2)
         assert len(reps) == ideal.norm
     assert unit_ideal(F1).norm == 1
+    # over Q every ideal is (m, 0, 1): Z/mZ has the m residues 0, ..., m - 1
+    q = rational_field()
+    six = principal_ideal(q.element(-6))
+    assert (six.a, six.b, six.c) == (6, 0, 1) and six.norm == 6 and str(six) == "(6)"
+    reps = [q.element(x) for x in range(6)]
+    assert not any(six.contains(r1 - r2) for r1 in reps for r2 in reps if r1 != r2)
+    assert six.contains(q.element(-12)) and not six.contains(q.element(9))
 
 
 def test_principal_norm_of_rational_integer():
@@ -156,10 +163,10 @@ def test_split_upto_matches_per_prime_splitting():
         above = {p: primes_above(p, f) for p in primes_upto(max(kappas))}
         for kappa in sorted(kappas):
             want = [[prime for prime in above[p] if prime.norm <= kappa] for p in primes_upto(kappa)]
-            for group in (None, class_group(f)):
-                stream = _split_upto(f, kappa, group)
+            for classes in (False, True):
+                stream = _split_upto(f, kappa, classes)
                 got = [built or _primes_above(p, f) for p, _, _, _, built in stream]
-                assert got == [primes for primes in want if primes], (f.label(), kappa, group is None)
+                assert got == [primes for primes in want if primes], (f.label(), kappa, classes)
 
 
 def test_prime_hnf_oracle_matches_maximal_hnfs():
@@ -178,7 +185,7 @@ def test_prime_hnf_oracle_matches_maximal_hnfs():
             assert sorted(maximal, key=lambda i: i.b) == prime_hnfs_brute(f, p), (f.label(), p)
 
 
-def test_factor_ideal_examples():
+def test_factor_ideal_examples(monkeypatch):
     factored = factor_ideal(principal_ideal(F5.element(6)))
     assert sorted(p.norm for p, e in factored.factors for _ in range(e)) == [2, 2, 3, 3]
     assert factored.unfactor() == principal_ideal(F5.element(6))
@@ -186,6 +193,18 @@ def test_factor_ideal_examples():
     ff = factor_ideal(inert)
     assert len(ff.factors) == 1 and ff.factors[0][1] == 1
     assert factor_ideal(unit_ideal(F5)).factors == ()
+    # a lone prime to the first power unfactors to its own HNF, with no
+    # multiplication: ideal_pow(P, 1) is P
+    from atomzeta import ideals
+
+    calls = []
+    mul = ideals.ideal_mul
+    monkeypatch.setattr(ideals, "ideal_mul", lambda *pair: calls.append(pair) or mul(*pair))
+    for f in (F5, make_field(10), rational_field()):
+        for p in (2, 3, 5, 7, 11):
+            for prime in primes_above(p, f):
+                assert FactoredIdeal(f, ((prime, 1),)).unfactor() == prime.ideal, (f, prime)
+    assert calls == []
 
 
 def test_factor_ideal_round_trip_random():

@@ -45,6 +45,8 @@ def test_rational_field_degenerate():
     assert q.degree == 1 and q.disc == 1
     assert q.element(7).norm() == 7
     assert q.element(-1).is_unit()
+    # y = 0 throughout: conj fixes every element and str prints x alone
+    assert q.element(-7).conj() == q.element(-7) and str(q.element(-7)) == "-7"
 
 
 def test_arithmetic_examples():

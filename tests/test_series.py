@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from atomzeta.atoms import atom_ideals_dividing
-from atomzeta.errors import DomainError
+from atomzeta.errors import CapExceededError, DomainError
 from atomzeta.ideals import kronecker_symbol, primes_above
 from atomzeta.ring import make_field, rational_field
 from atomzeta.series import (
@@ -160,6 +160,24 @@ def test_prime_ideals_build_no_class_group(monkeypatch):
     assert [r.count for r in rows] == [sum(i.norm <= k for i in ideals) for k in (10**3, kappa)]
 
 
+def test_sets_over_the_primes_sieve_before_building_the_class_group(monkeypatch):
+    # kappa = 10^10 is past the sieve's cap, and the sieve runs before the
+    # class group is built, so every set refuses at once: building the group
+    # first took 0.12 s for d = -999999937 (h = 17,072) and 0.22 s for
+    # d = -999999929 before the same refusal
+    from atomzeta import atoms, classgroup, series
+
+    def refuse(field):
+        raise AssertionError("class group built before the sieve's cap fired")
+
+    for mod in (atoms, classgroup, series):
+        monkeypatch.setattr(mod, "class_group", refuse)
+    for d in (-999999937, -999999929, 999999937):
+        for aset in ("atoms-dividing:primes", "all-atoms", "atoms-dividing:all", "prime-ideals"):
+            with pytest.raises(CapExceededError, match="sieve limit 100000000"):
+                divergence_table(make_field(d), parse_aset(aset), Fraction(1), [10**10])
+
+
 # --- partial sums ----------------------------------------------------------
 
 def test_zeta_partial_hand_value():
@@ -173,9 +191,15 @@ def test_zeta_partial_hand_value():
 
 
 def test_zeta_partial_s_zero_counts():
+    # the exact path gives every term n^0 = 1 exactly, so the sum is the
+    # count at any precision: for no ideals, and for norms repeated 3 and
+    # 4 times (a count that is a power of two is a shift)
     ideals = build_ideal_set(F1, parse_aset("prime-ideals"), 50)
-    total, count = zeta_partial(ideals, Fraction(0), 50)
-    assert total == count == len(ideals)
+    for members in ([], ideals, ideals * 3, ideals * 4):
+        for prec in (80, DEFAULT_PREC_BITS, 200):
+            total, count = zeta_partial(members, Fraction(0), 50, prec_bits=prec)
+            assert isinstance(total, mpmath.mpf)
+            assert total == count == len(members), (len(members), prec)
 
 
 def test_zeta_partial_respects_kappa():
