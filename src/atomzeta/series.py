@@ -4,9 +4,10 @@ Each term n^-s of a partial sum is rounded to a configurable mantissa
 precision (>= 80 bits): computed exactly in integers and correctly rounded
 for s = a/b with b <= 3 and small |a| (the paper's s = 1/2 among them),
 taken from mpmath's power otherwise.  The terms, those of equal norm
-grouped, are accumulated with mpmath at that precision in increasing-norm
-order, so results are reproducible bit-for-bit.  The Euler sum of 1/p is
-exact in fixed point and rounded once.
+grouped, are added in increasing-norm order to a total kept as an integer
+mantissa and exponent, rounded to that precision at every step as mpmath's
+mpf_mul_int and mpf_add round, so results are reproducible bit-for-bit.
+The Euler sum of 1/p is exact in fixed point and rounded once.
 """
 
 from __future__ import annotations
@@ -274,6 +275,20 @@ def _iroot(y: int, b: int) -> int:
         x = z
 
 
+def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """man * 2^exp, man > 0, rounded to prec bits: to nearest, ties to even,
+    as mpmath's "n" mode rounds.  A round-up may leave man = 2^prec."""
+    n = man.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    half = 1 << (n - 1)
+    rest = man & (2 * half - 1)
+    man >>= n
+    if rest > half or rest == half and man & 1:
+        man += 1
+    return man, exp + n
+
+
 def _norm_sum(norms: list[int], s: Fraction, prec_bits: int) -> tuple[mpmath.mpf, int]:
     """(sum of n^-s over norms, count), terms of equal norm grouped and
     added in increasing-norm order, each rounded to prec bits.
@@ -287,14 +302,16 @@ def _norm_sum(norms: list[int], s: Fraction, prec_bits: int) -> tuple[mpmath.mpf
     integers grow with b * prec and |a| * bits(n), and a Newton step from a
     root twice too high shrinks it only by (b - 1)/b, so for b = 4 at 1000
     bits, or for a decimal s such as 0.999 (b = 1000), mpmath's power is the
-    faster.  Each term is multiplied by its count (a power of two only
-    shifts the exponent) and added with mpmath's raw mpf_mul_int and mpf_add
-    at prec, round to nearest, as mpf arithmetic would."""
+    faster.
+
+    Each rounded term and the running total are an integer mantissa and
+    exponent.  A term is multiplied by its count and rounded once, as
+    mpf_mul_int rounds (a power of two only shifts the exponent), and each
+    addition is exact and then rounded once, as mpf_add rounds, to nearest
+    at prec.  Every step is correctly rounded, so the total has the bits of
+    the mpf arithmetic it replaces; it becomes an mpf only at the end."""
     import mpmath
-    from mpmath.libmp import (
-        from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_mul_int, mpf_neg, mpf_pow,
-        mpf_shift,
-    )
+    from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_neg, mpf_pow
 
     count = len(norms)
     prec = max(prec_bits, MIN_PREC_BITS)
@@ -308,10 +325,10 @@ def _norm_sum(norms: list[int], s: Fraction, prec_bits: int) -> tuple[mpmath.mpf
         scale = 1 << (b * k)
     else:
         neg_s = mpf_neg(mpf_div(from_int(a), from_int(b), prec, "n"))
-    total = fzero
+    man, exp = 0, 0
     for n, c in groups:
         if not exact:  # mpf(n) ** -s at prec
-            term = mpf_pow(from_int(n, prec, "n"), neg_s, prec, "n")
+            _, tm, te, _ = mpf_pow(from_int(n, prec, "n"), neg_s, prec, "n")
         else:
             if a > 0:
                 y, r = divmod(scale, n**a)
@@ -319,15 +336,24 @@ def _norm_sum(norms: list[int], s: Fraction, prec_bits: int) -> tuple[mpmath.mpf
                 y, r = scale * n**-a, 0
             t = y if b == 1 else isqrt(y) if b == 2 else _iroot(y, b)
             if r or t**b != y:  # inexact: t < 2^K n^-s < t + 1
-                term = from_man_exp(2 * t + 1, -k - 1, prec, "n")
+                tm, te = _round(2 * t + 1, -k - 1, prec)
             else:
-                term = from_man_exp(t, -k, prec, "n")
+                tm, te = _round(t, -k, prec)
         if c & (c - 1):
-            term = mpf_mul_int(term, c, prec, "n")
-        elif c > 1:  # c = 2^j scales the rounded term exactly
-            term = mpf_shift(term, c.bit_length() - 1)
-        total = mpf_add(total, term, prec, "n")
-    return mpmath.mp.make_mpf(total), count
+            tm, te = _round(tm * c, te, prec)
+        else:  # c = 2^j scales the rounded term exactly
+            te += c.bit_length() - 1
+        # mantissas have at most prec + 1 bits, so an exponent gap over
+        # 2 * prec puts the lower addend below half an ulp of the other,
+        # which is then the rounded sum
+        if not man or te - exp > 2 * prec:
+            man, exp = tm, te
+        elif exp - te <= 2 * prec:
+            if te < exp:
+                man, exp = _round((man << (exp - te)) + tm, te, prec)
+            else:
+                man, exp = _round((tm << (te - exp)) + man, exp, prec)
+    return mpmath.mp.make_mpf(from_man_exp(man, exp)), count
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ reduced form, atom factorizations from a scan of every sub-product in
 order, atom sets from a level-by-level sub-box search, the walk's step
 table from the walk that recomputes every node's subsum set, the classes
 read off the residue table from splitting and reducing every prime, Davenport
-constants from a subset-sum search over tuples, the Euler sum from a
-term-by-term mpmath loop, primes from trial division, factorizations and
-primality from sympy, and so on.
+constants from a subset-sum search over tuples, the Euler sum and the row
+sums from term-by-term mpmath loops, primes from trial division,
+factorizations and primality from sympy, and so on.
 """
 
 from __future__ import annotations
@@ -650,17 +650,32 @@ def euler_primes_sum_loop(x: int, prec_bits: int = 100):
         return total
 
 
-def norm_sum_loop(norms, s, prec_bits: int = 100):
+def norm_sum_loop(norms, s, prec_bits: int = 100, term=None):
     """Sum of n^-s over norms by the mpf loop `series._norm_sum` ran before
-    its integer terms: equal norms grouped, increasing norm, each term
-    mpf(n) ** -s times its count, accumulated in mpmath at prec_bits."""
+    its integer terms: equal norms grouped, increasing norm, each term times
+    its count, accumulated in mpmath at prec_bits.  A term is
+    mpf(n) ** -s, or term(n, s, prec) if given (`rounded_power`, say)."""
     from collections import Counter
 
-    with mpmath.workprec(max(prec_bits, 80)):
+    prec = max(prec_bits, 80)
+    with mpmath.workprec(prec):
         if s == 0:
             return mpmath.mpf(len(norms))
         sexp = mpmath.mpf(s.numerator) / s.denominator
         total = mpmath.mpf(0)
         for n, k in sorted(Counter(norms).items()):
-            total += k * mpmath.mpf(n) ** (-sexp)
+            total += k * (mpmath.mpf(n) ** (-sexp) if term is None else term(n, s, prec))
         return total
+
+
+def rounded_power(n: int, s, prec: int):
+    """n^-s correctly rounded to prec bits: mpmath at 4 * prec, rounded once
+    to prec, and n = 2^e with b | e*a the exact dyadic 2^(-e*a/b).  mpmath's
+    own mpf(n) ** -s is not correctly rounded: it raises n to -s rounded."""
+    e = n.bit_length() - 1
+    if n == 1 << e and e * s.numerator % s.denominator == 0:
+        return mpmath.ldexp(1, -e * s.numerator // s.denominator)
+    with mpmath.workprec(4 * prec):
+        wide = mpmath.mpf(n) ** (-mpmath.mpf(s.numerator) / s.denominator)
+    with mpmath.workprec(prec):
+        return +wide

@@ -111,6 +111,11 @@ def test_compose_examples():
         assert compose(QuadForm(*f1), QuadForm(*f2)) == want, (f1, f2)
 
 
+def test_compose_refuses_unequal_discriminants():
+    with pytest.raises(DomainError, match="composition requires equal discriminants"):
+        compose(QuadForm(2, 2, 3), QuadForm(2, 1, 3))  # disc -20 with -23
+
+
 def test_compose_group_axioms_random():
     rng = random.Random(31)
     for disc in (-20, -23, -47, -84):

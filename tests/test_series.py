@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -15,6 +16,7 @@ from atomzeta.series import (
     XSetSpec,
     _atom_parts,
     _norm_sum,
+    _round,
     atom_census,
     asymptotic_report,
     build_ideal_set,
@@ -32,6 +34,7 @@ from oracles import (
     euler_primes_sum_loop,
     norm_sum_loop,
     reps_by_norm,
+    rounded_power,
 )
 
 F1 = make_field(-1)
@@ -246,15 +249,7 @@ def test_norm_sum_terms_are_correctly_rounded():
         for s in exps:
             for n in norms:
                 got, _ = _norm_sum([n], s, prec)
-                e = n.bit_length() - 1
-                if n == 1 << e and e * s.numerator % s.denominator == 0:
-                    want = mpmath.ldexp(1, -e * s.numerator // s.denominator)
-                else:
-                    with mpmath.workprec(4 * prec):
-                        wide = mpmath.mpf(n) ** (-mpmath.mpf(s.numerator) / s.denominator)
-                    with mpmath.workprec(prec):
-                        want = +wide
-                assert got == want, (prec, s, n)
+                assert got == rounded_power(n, s, prec), (prec, s, n)
                 assert got.man.bit_length() <= prec, (prec, s, n)
     assert _norm_sum([4], Fraction(1, 2), 100)[0] == mpmath.mpf(0.5)
     assert _norm_sum([16, 16, 16], Fraction(1, 2), 100)[0] == mpmath.mpf(0.75)
@@ -271,6 +266,37 @@ def test_norm_sum_other_exponents_take_the_mpmath_power():
             got, count = _norm_sum(norms, Fraction(s), prec)
             assert count == len(norms)
             assert got == norm_sum_loop(norms, Fraction(s), prec), (s, prec)
+
+
+def test_norm_sum_rounds_every_step_as_the_mpf_loop():
+    # the integer total against the mpf loop over the same correctly rounded
+    # terms (mpmath's power where _norm_sum takes it): counts times terms,
+    # powers of two among them, and every sum rounded at prec, bit for bit
+    rng = random.Random(2024)
+    exact = [Fraction(s) for s in ("1/2", "1", "1/3", "2/3", "3/2", "2", "0", "-1/2", "-1", "-2/3")]
+    power = [Fraction(s) for s in ("1/4", "999/1000", "10")]
+    for s in exact + power:
+        term = rounded_power if s in exact else None
+        for prec in (80, 81, 100, 113, 200, 333):
+            for _ in range(8):
+                pool = [rng.randint(1, 10 ** rng.randint(1, 15)) for _ in range(8)]
+                norms = [n for n in pool for _ in range(rng.choice((1, 2, 3, 4, 5, 8)))]
+                rng.shuffle(norms)
+                got, count = _norm_sum(norms, s, prec)
+                assert count == len(norms)
+                assert got == norm_sum_loop(norms, s, prec, term), (s, prec, norms)
+    # ties to even, in both directions, and a round-up that carries to 2^prec
+    assert _round(2**81 - 1, 0, 80) == (2**80, 1)
+    for norms, want in (([1, 2**80], 2**80), ([1, 2**80 + 2], 2**80 + 4), ([1, 2**81 - 2], 2**81)):
+        got, _ = _norm_sum(norms, Fraction(-1), 80)
+        assert got == want == norm_sum_loop(norms, Fraction(-1), 80), norms
+    # addends more than 2 * prec bits apart: the lower one leaves the other;
+    # nearer, it counts, even below a term of one significant bit
+    small = [2, 3, 3, 5, 7, 7, 7]
+    for norms, s in ((small, Fraction(10**6)), (small, Fraction(-(10**6))),
+                     ([257, 2**40], Fraction(-5, 4))):  # ~2^10, then 2^50 of one bit
+        assert _norm_sum(norms, s, 80)[0] == norm_sum_loop(norms, s, 80), (norms, s)
+    assert _norm_sum([], Fraction(1, 2), 100) == (0, 0) == (norm_sum_loop([], Fraction(1, 2)), 0)
 
 
 # --- divergence tables -----------------------------------------------------
