@@ -9,6 +9,7 @@ the prime-ideal factorization of (e) has principal product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from atomzeta.errors import InternalInvariantError, UnitElementError, ZeroElementError
 from atomzeta.ideals import FactoredIdeal, Ideal, _factor_rational, factor_ideal, principal_ideal
@@ -82,10 +83,7 @@ def factor_into_atoms(e: RingElement) -> AtomFactorization:
         times = min(remaining[prime] // k for prime, k in parts)
         if not times:
             continue
-        ok, gen = is_principal(FactoredIdeal(field, parts).unfactor())
-        if not ok:
-            raise InternalInvariantError("atom sub-product has no generator")
-        grouped[canonical_associate(gen)] = times
+        grouped[_atom_generator(parts)] = times
         for prime, k in parts:
             remaining[prime] -= times * k
     if any(remaining.values()):
@@ -95,6 +93,18 @@ def factor_into_atoms(e: RingElement) -> AtomFactorization:
     if unit is None or not unit.is_unit():
         raise InternalInvariantError("leftover after atom extraction is not a unit")
     return AtomFactorization(unit, tuple(ordered))
+
+
+# bounded like is_principal's cache; atoms repeat across the elements
+# factored, and each PrimeIdeal carries its interned field, so the parts
+# alone name the atom
+@lru_cache(maxsize=2**16)
+def _atom_generator(parts) -> RingElement:
+    """The canonical generator of the atom with parts ((PrimeIdeal, k), ...)."""
+    ok, gen = is_principal(FactoredIdeal(parts[0][0].field, parts).unfactor())
+    if not ok:
+        raise InternalInvariantError("atom sub-product has no generator")
+    return canonical_associate(gen)
 
 
 def _box_atoms(field: FieldSpec, fac, cap: int):

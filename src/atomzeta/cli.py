@@ -313,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeta.add_argument("--aset", required=True,
                         help="all-atoms | prime-ideals | atoms-dividing-primes | "
                              "atoms-dividing:{all|primes|ap:a,q|list:..|file:PATH}")
-    p_zeta.add_argument("--s", required=True, help="exponent as a rational, e.g. 1/2")
+    p_zeta.add_argument("--s", required=True,
+                        help="exponent as a rational, e.g. 1/2; a negative one as --s=-1/2")
     p_zeta.add_argument("--kappa", required=True,
                         help="comma-separated increasing grid, e.g. 1e2,1e3,1e4")
 

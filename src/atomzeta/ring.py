@@ -149,7 +149,7 @@ class RingElement:
         while n:
             if n & 1:
                 r = r * b
-            b = b * b
+            b = b * b if n > 1 else b  # no square past the top bit
             n >>= 1
         return r
 

@@ -4,7 +4,9 @@ from itertools import repeat
 
 import pytest
 
+from atomzeta import atoms
 from atomzeta.atoms import (
+    _atom_generator,
     _atom_walk,
     _box_atoms,
     atom_ideals_dividing,
@@ -15,7 +17,7 @@ from atomzeta.atoms import (
 )
 from atomzeta.classgroup import class_group
 from atomzeta.errors import InternalInvariantError, UnitElementError, ZeroElementError
-from atomzeta.ideals import _factor_rational, _prime_pool
+from atomzeta.ideals import _factor_rational, _prime_pool, primes_above, principal_ideal
 from atomzeta.ring import canonical_associate, is_associated, make_field, rational_field
 from atomzeta.series import atom_census, build_ideal_set, parse_aset
 from atomzeta.sieve import primes_upto
@@ -100,6 +102,57 @@ def test_factor_into_atoms_matches_scan_oracle():
                 sample.append(e)
         for e in sample:
             assert factor_into_atoms(e) == factor_scan(e), (d, e)
+
+
+def _cache_sample():
+    # every non-unit x + y*w with |x|, |y| <= 6 in four fields
+    for d in (-5, -14, 10, 79):
+        f = make_field(d)
+        for x in range(-6, 7):
+            for y in range(-6, 7):
+                e = f.element(x, y)
+                if not (e.is_zero() or e.is_unit()):
+                    yield e
+
+
+def test_atom_generator_cache_changes_no_factorization():
+    cold = []
+    for e in _cache_sample():
+        _atom_generator.cache_clear()
+        cold.append(factor_into_atoms(e))
+    _atom_generator.cache_clear()
+    for e in _cache_sample():
+        factor_into_atoms(e)
+    warm = [factor_into_atoms(e) for e in _cache_sample()]
+    assert warm == cold
+    assert _atom_generator.cache_info().maxsize is not None
+
+
+def test_atom_generator_asks_once_per_distinct_atom(monkeypatch):
+    asked = Counter()
+    principal = atoms.is_principal
+
+    def counted(ideal):
+        asked[ideal] += 1
+        return principal(ideal)
+
+    monkeypatch.setattr(atoms, "is_principal", counted)
+    _atom_generator.cache_clear()
+    found = set()
+    for e in _cache_sample():
+        found.update(principal_ideal(a) for a, _ in factor_into_atoms(e).factors)
+    _atom_generator.cache_clear()  # drop generators cached through the counter
+    assert set(asked) == found
+    assert set(asked.values()) == {1}
+    assert sum(asked.values()) < sum(1 for _ in _cache_sample())
+
+
+def test_atom_generator_refuses_a_non_principal_product_every_time():
+    # an error is not cached: the second call checks again
+    prime = primes_above(2, F5)[0]  # the prime above 2 in Q(sqrt(-5)) is not principal
+    for _ in range(2):
+        with pytest.raises(InternalInvariantError, match="no generator"):
+            _atom_generator(((prime, 1),))
 
 
 def test_d79_atoms_match_oracles_past_the_scan_cap():

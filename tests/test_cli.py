@@ -470,6 +470,18 @@ def test_zeta_error_paths(capsys):
     assert code == 2
 
 
+def test_zeta_negative_exponent_needs_the_equals_form(capsys):
+    zeta = ["zeta", "-d", "-5", "--aset", "prime-ideals", "--kappa", "1e2"]
+    code, out, _ = run_cli(capsys, *zeta, "--s=-1/2")
+    assert code == 0 and out
+    # as a separate token argparse reads -1/2 as an option and exits 2
+    with pytest.raises(SystemExit) as exc:
+        main([*zeta, "--s", "-1/2"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "argument --s: expected one argument" in out.err
+
+
 def test_zeta_file_xset_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "x.txt"
     bad.write_text("2\n3\nabc\n")

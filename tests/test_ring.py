@@ -9,6 +9,7 @@ from atomzeta.errors import (
     ZeroElementError,
 )
 from atomzeta.ring import (
+    RingElement,
     canonical_associate,
     divides,
     exact_div,
@@ -188,3 +189,31 @@ def test_associates_map_to_equal_canonicals():
                 continue
             assert is_associated(e, e * eps)
             assert is_associated(e, -e)
+
+
+@pytest.mark.parametrize("field", [rational_field(), F5, make_field(10)], ids=("Q", "d=-5", "d=10"))
+def test_pow_matches_repeated_multiplication(field):
+    for x, y in ((2, 0), (-3, 0), (1, 1), (-2, 3), (5, -4)):
+        if field.is_rational and y:
+            continue
+        e = field.element(x, y)
+        out = field.one
+        for n in range(13):
+            assert e**n == out, (e, n)
+            out = out * e
+
+
+def test_pow_squares_no_further_than_the_top_bit(monkeypatch):
+    products = []
+    mul = RingElement.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(RingElement, "__mul__", counted)
+    e = F5.element(1, 1)
+    for n, cost in ((0, 0), (1, 1), (2, 2), (8, 4)):
+        products.clear()
+        e**n
+        assert len(products) == cost, n
