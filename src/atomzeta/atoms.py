@@ -68,7 +68,7 @@ def factor_into_atoms(e: RingElement) -> AtomFactorization:
     if e.is_zero():
         raise ZeroElementError("zero has no atom factorization")
     if e.is_unit():
-        raise UnitElementError("units have no atom factorization")
+        raise UnitElementError("unit has no atom factorization")
     field = e.field
     fac = factor_ideal(principal_ideal(e)).factors
     remaining = dict(fac)

@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -32,7 +31,6 @@ from atomzeta.errors import (
     CapExceededError,
     DomainError,
     InternalInvariantError,
-    UnitElementError,
 )
 from atomzeta.ring import (
     FieldSpec,
@@ -85,18 +83,6 @@ def _parse_s(token: str) -> Fraction:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"bad exponent s: {token!r}")
-
-
-def default_threads() -> int:
-    """--threads when not given: ATOMZETA_THREADS, validated, or 1.  The
-    count changes neither output nor speed."""
-    env = os.environ.get("ATOMZETA_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise DomainError(f"bad ATOMZETA_THREADS value: {env!r}")
-    return 1
 
 
 def _fmt(x) -> str:
@@ -187,10 +173,6 @@ def cmd_factor(args) -> int:
             e = field.element(m)
     except ValueError:
         raise DomainError(f"bad element token: {tok!r}")
-    if e.is_zero():
-        raise DomainError("zero has no atom factorization")
-    if e.is_unit():
-        raise UnitElementError("unit has no atom factorization")
     fact = factor_into_atoms(e)
     _refuse_unprintable("an atom or the unit", fact.unit, *(atom for atom, _ in fact.factors))
     print(f"element: {e}  (norm {e.norm()})")
@@ -275,6 +257,9 @@ def cmd_census(args) -> int:
     return 0
 
 
+# built once per process: main reuses it, and argparse keeps no state
+# between parse_args calls
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="atomzeta",
@@ -286,9 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("-d", required=True, help="squarefree d, or Q for the rationals")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted and validated; changes neither output nor "
-                            "speed (default ATOMZETA_THREADS or 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and validated; changes neither output nor speed")
 
     def table(p):
         common(p)
@@ -325,19 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """build_parser, built once per process and reused by every main call."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.threads is None:
-            args.threads = default_threads()
         if args.threads < 1:
-            raise DomainError(f"--threads/ATOMZETA_THREADS must be >= 1, not {args.threads}")
+            raise DomainError(f"--threads must be >= 1, not {args.threads}")
         if "prec" in args and args.prec < MIN_PREC_BITS:
             raise DomainError(f"--prec must be >= {MIN_PREC_BITS} bits, not {args.prec}")
         return args.handler(args)

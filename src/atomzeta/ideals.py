@@ -273,22 +273,13 @@ class FactoredIdeal:
     factors: tuple[tuple[PrimeIdeal, int], ...]  # factor_ideal sorts them by (p, b)
 
     def unfactor(self) -> Ideal:
-        """HNF of prod P^k; a prime ideal and (p) = <p, p*w> itself need
-        no multiplication."""
-        f = self.field
-        if len(self.factors) == 1:
-            prime, k = self.factors[0]
-            if k == 2 and prime.kind == "ramified":
-                return Ideal(f, prime.p, 0, prime.p)
-        elif len(self.factors) == 2:
-            (prime, k), (other, j) = self.factors
-            if prime.p == other.p and k == j == 1:
-                return Ideal(f, prime.p, 0, prime.p)
+        """HNF of prod P^k; a lone prime to the first power needs no
+        multiplication."""
         out = None
         for prime, k in self.factors:
             power = ideal_pow(prime.ideal, k)
             out = power if out is None else ideal_mul(out, power)
-        return unit_ideal(f) if out is None else out
+        return unit_ideal(self.field) if out is None else out
 
     def norm(self) -> int:
         n = 1

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from atomzeta.cli import _parse_kappa_grid, _parser, main
+from atomzeta.cli import _parse_kappa_grid, build_parser, main
 from atomzeta.ring import make_field
 from oracles import all_atoms_per_ideal
 
@@ -253,10 +253,15 @@ def test_factor_negative_token_after_double_dash(capsys):
 
 
 def test_factor_error_paths(capsys):
-    for tok in ("0", "1", "abc", "1,0,0"):
+    for tok in ("abc", "1,0,0"):
         code, _, err = run_cli(capsys, "factor", "-d", "-1", tok)
         assert code == 2, tok
         assert "error" in err
+    # factor_into_atoms refuses zero and units before anything is printed
+    zero = "atomzeta: error: zero has no atom factorization\n"
+    unit = "atomzeta: error: unit has no atom factorization\n"
+    for tok, line in (("0", zero), ("1", unit), ("-1", unit), ("0,1", unit)):
+        assert run_cli(capsys, "factor", "-d", "-1", "--", tok) == (2, "", line), tok
 
 
 def test_ring_and_factor_refuse_table_flags(tmp_path, capsys):
@@ -689,25 +694,29 @@ def test_zeta_list_member_beyond_primality_range_exit_2(capsys):
     assert err.startswith("atomzeta: error:") and "primality range" in err
 
 
-def test_bad_threads_env_exit_2(monkeypatch, capsys):
-    monkeypatch.setenv("ATOMZETA_THREADS", "zebra")
-    code, _, err = run_cli(capsys, "ring", "-d", "-1")
-    assert code == 2
-    assert err.startswith("atomzeta: error:") and "zebra" in err
+def test_threads_env_is_ignored(monkeypatch, capsys):
+    # --threads is the one source of the thread count; the environment
+    # changes nothing, not even a value --threads would refuse
+    argvs = [
+        ["ring", "-d", "-1"],
+        ["census", "-d", "-5", "--kappa", "100"],
+        ["zeta", "-d", "-5", "--aset", "prime-ideals", "--s", "1/2", "--kappa", "100"],
+    ]
+    monkeypatch.delenv("ATOMZETA_THREADS", raising=False)
+    unset = [run_cli(capsys, *argv) for argv in argvs]
+    assert all(code == 0 and out and not err for code, out, err in unset)
+    for value in ("zebra", "0"):
+        monkeypatch.setenv("ATOMZETA_THREADS", value)
+        assert [run_cli(capsys, *argv) for argv in argvs] == unset, value
 
 
-def test_threads_below_one_exit_2(monkeypatch, capsys):
+def test_threads_below_one_exit_2(capsys):
     for count in ("0", "-3"):
         code, out, err = run_cli(
             capsys, "census", "-d", "-5", "--kappa", "100", "--threads", count
         )
         assert code == 2 and out == "", count
         assert err.startswith("atomzeta: error:") and count in err
-        monkeypatch.setenv("ATOMZETA_THREADS", count)
-        code, out, err = run_cli(capsys, "census", "-d", "-5", "--kappa", "100")
-        assert code == 2 and out == "", count
-        assert err.startswith("atomzeta: error:") and count in err
-        monkeypatch.delenv("ATOMZETA_THREADS")
 
 
 def test_zeta_decimal_exponent_is_quick(capsys):
@@ -764,11 +773,11 @@ def test_main_reuses_one_parser_like_fresh_calls(capsys):
 
     fresh = []
     for argv in argvs:
-        _parser.cache_clear()
+        build_parser.cache_clear()
         fresh.append(call(argv))
     assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 0, 2, 2]
     assert fresh[6][1] == "" and "--bogus" in fresh[6][2]
-    assert _parser() is _parser()
+    assert build_parser() is build_parser()
     for _ in range(2):
         assert [call(argv) for argv in argvs] == fresh
 
