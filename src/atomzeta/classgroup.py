@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 from typing import NamedTuple
 
 from atomzeta.errors import CapExceededError, DomainError, InternalInvariantError
@@ -107,39 +108,45 @@ def _wide_class(f: tuple[int, int, int], disc: int) -> list[tuple[int, int, int]
     return forms
 
 
+def _reduced(a: int, b: int, c: int, disc: int) -> QuadForm:
+    """reduce_form on plain integers, for disc = b^2 - 4ac: its refusals,
+    the reduction and the check that the result is reduced."""
+    s = isqrt(disc) if disc > 0 else 0
+    if disc >= 0 and s * s == disc:
+        raise DomainError("forms of square discriminant have no reduction")
+    if disc < 0 and a < 0:
+        raise DomainError("negative definite forms have no reduction")
+    a, b, c = _reduce(a, b, c, disc)
+    if not _is_reduced(a, b, c, s):
+        raise InternalInvariantError("reduction did not terminate in a reduced form")
+    return QuadForm(a, b, c)
+
+
 def reduce_form(f: QuadForm) -> QuadForm:
     """The reduced form of f; for D > 0, the one with a > 0 that rho
     reaches first.  A square D (the form factors over Q) and a negative
     definite form are refused."""
-    disc = f.disc
-    if disc >= 0 and isqrt(disc) ** 2 == disc:
-        raise DomainError("forms of square discriminant have no reduction")
-    if disc < 0 and f.a < 0:
-        raise DomainError("negative definite forms have no reduction")
-    out = QuadForm(*_reduce(*f, disc))
-    if not out.is_reduced():
-        raise InternalInvariantError("reduction did not terminate in a reduced form")
-    return out
+    return _reduced(*f, f.disc)
 
 
 def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     """Reduced Gauss/Dirichlet composition of two forms with a > 0."""
-    if f1.disc != f2.disc:
+    a1, b1, c1 = f1
+    a2, b2, c2 = f2
+    disc = b1 * b1 - 4 * a1 * c1
+    if disc != b2 * b2 - 4 * a2 * c2:
         raise DomainError("composition requires equal discriminants")
-    if f1.a > f2.a:
-        f1, f2 = f2, f1
-    a1, b1, _c1 = f1.a, f1.b, f1.c
-    a2, b2, c2 = f2.a, f2.b, f2.c
+    if not a1 * a2:  # a = 0 makes D = b^2 a square; refused before dividing by a
+        raise DomainError("forms of square discriminant have no reduction")
+    if a1 > a2:
+        a1, b1, a2, b2, c2 = a2, b2, a1, b1, c1
     s = (b1 + b2) // 2
     n = b2 - s
     d, y1, _ = _xgcd(a2, a1)  # y1 a2 = d (mod a1)
     d1, x2, v = _xgcd(s, d)  # x2 s + v d = d1
     v1, v2 = a1 // d1, a2 // d1
     r = (-y1 * v * n - x2 * c2) % v1
-    b3 = b2 + 2 * v2 * r
-    a3 = v1 * v2
-    c3 = (c2 * d1 + r * (b2 + v2 * r)) // v1
-    return reduce_form(QuadForm(a3, b3, c3))
+    return _reduced(v1 * v2, b2 + 2 * v2 * r, (c2 * d1 + r * (b2 + v2 * r)) // v1, disc)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +157,13 @@ def _form(a: int, b: int, disc: int) -> tuple[int, int, int]:
     """The form N(x a - y (b + w)) / a of <a, b + w>: (a, B, (B^2 - D)/4a)
     with B = -(2b + t), t = 1 in the basis w = (1 + sqrt(d))/2 (D odd) and
     0 otherwise.  B is negated so that form_to_ideal inverts this map
-    exactly (rather than landing in the conjugate class)."""
+    exactly (rather than landing in the conjugate class).  B^2 - D must be
+    a multiple of 4a, that is, the form must have discriminant D."""
     big_b = -(2 * b + (disc & 1))
-    return a, big_b, (big_b * big_b - disc) // (4 * a)
+    c, rest = divmod(big_b * big_b - disc, 4 * a)
+    if rest:
+        raise InternalInvariantError("ideal-to-form discriminant mismatch")
+    return a, big_b, c
 
 
 def ideal_to_form(ideal: Ideal) -> QuadForm:
@@ -162,10 +173,7 @@ def ideal_to_form(ideal: Ideal) -> QuadForm:
     if field.is_rational:
         raise DomainError("Q has no binary quadratic forms")
     c = ideal.c
-    form = QuadForm(*_form(ideal.a // c, ideal.b // c, field.disc))
-    if form.disc != field.disc:
-        raise InternalInvariantError("ideal-to-form discriminant mismatch")
-    return form
+    return QuadForm(*_form(ideal.a // c, ideal.b // c, field.disc))
 
 
 def form_to_ideal(f: QuadForm, field: FieldSpec) -> Ideal:
@@ -350,8 +358,9 @@ def class_group(field: FieldSpec) -> ClassGroup:
     such p generate Cl(K) (inert primes are principal, and the other prime
     above p is the inverse).  A prime class g outside the subgroup H found
     so far is a new generator: its powers are walked until g^e lies in H,
-    which gives a relation row, and H grows by its cosets H*g^j, 0 < j < e;
-    about 2h compositions in all.  A real class is composed through its
+    which gives a relation row, and H grows by its cosets H*g^j, 0 < j < e.
+    That is e - 1 compositions for the powers and one for each other new
+    class: h - 1 in all.  A real class is composed through its
     reduced form with a > 0 that reduce_form gives, and keyed by every
     form of _wide_class.  The Smith normal form of the triangular relation
     matrix gives the invariants, and its column transform maps each class's
@@ -369,7 +378,10 @@ def class_group(field: FieldSpec) -> ClassGroup:
     alias = dict.fromkeys(_wide_class(one, disc), one) if real else None
     find = sub.get if alias is None else (lambda f: sub.get(alias.get(f)))
     for p in primes_upto(bound):
-        g = ideal_class_form(_primes_above(p, field)[0].ideal)
+        prime = _primes_above(p, field)[0]
+        if prime.f == 2:  # inert: (p) is principal
+            continue
+        g = _reduced(*_form(p, prime.b, disc), disc)
         if find(g) is not None:
             continue
         powers = [g]  # g^1 .. g^(e-1), none of them in H
@@ -388,13 +400,10 @@ def class_group(field: FieldSpec) -> ClassGroup:
                     alias.update(dict.fromkeys(_wide_class(h, disc), h))
     k = len(rows)
     diag, v = _smith([row + [0] * (k - len(row)) for row in rows])
-    keep = [t for t in range(k) if diag[t] > 1]
-    vectors = {
-        f: tuple(sum(x * v[i][t] for i, x in enumerate(u)) % diag[t] for t in keep)
-        for f, u in sub.items()
-    }
+    keep = [(m, [row[t] for row in v]) for t, m in enumerate(diag) if m > 1]
+    vectors = {f: tuple(sum(map(mul, u, col)) % m for m, col in keep) for f, u in sub.items()}
     coords = vectors if alias is None else {f: vectors[r] for f, r in alias.items()}
-    group = ClassGroup(one, tuple(diag[t] for t in keep), coords)
+    group = ClassGroup(one, tuple(m for m, _ in keep), coords)
     if AbelianGroupSpec(group.invariants).order != len(sub):
         raise InternalInvariantError("class group order mismatch")
     return group

@@ -144,14 +144,13 @@ class RingElement:
     def __pow__(self, n: int) -> "RingElement":
         if n < 0:
             raise ValueError("negative powers are not ring elements in general")
-        r = self.field.one
-        b = self
+        r, b = None, self  # r is None for the empty product, never multiplied
         while n:
             if n & 1:
-                r = r * b
+                r = b if r is None else r * b
             b = b * b if n > 1 else b  # no square past the top bit
             n >>= 1
-        return r
+        return self.field.one if r is None else r
 
     def conj(self) -> "RingElement":
         f = self.field

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from atomzeta import classgroup
 from atomzeta.classgroup import (
     AbelianGroupSpec,
     QuadForm,
@@ -114,6 +115,22 @@ def test_compose_examples():
 def test_compose_refuses_unequal_discriminants():
     with pytest.raises(DomainError, match="composition requires equal discriminants"):
         compose(QuadForm(2, 2, 3), QuadForm(2, 1, 3))  # disc -20 with -23
+
+
+def test_compose_refuses_what_reduce_form_refuses():
+    # square discriminants and negative definite products are refused with
+    # reduce_form's messages; (-1, 0, -1)^2 is (1, 0, 1) under Dirichlet
+    # composition, which is right
+    for f1, f2, why in (
+        ((1, 3, 2), (1, 3, 2), "square discriminant"),
+        ((2, 4, 2), (2, 4, 2), "square discriminant"),
+        ((-2, 2, -3), (2, 2, 3), "negative definite"),
+        ((0, 1, 5), (1, 1, 0), "square discriminant"),  # a = 0, refused before dividing
+        ((1, 1, 0), (0, 1, 5), "square discriminant"),
+    ):
+        with pytest.raises(DomainError, match=why):
+            compose(QuadForm(*f1), QuadForm(*f2))
+    assert compose(QuadForm(-1, 0, -1), QuadForm(-1, 0, -1)) == (1, 0, 1)
 
 
 def test_compose_group_axioms_random():
@@ -352,6 +369,37 @@ def test_class_group_matches_counting_oracle():
         assert group.coords[group.identity] == (0,) * len(group.invariants)
         ranks[d] = len(group.invariants)
     assert (ranks[-1365], ranks[-4641], ranks[-30030]) == (4, 4, 5)
+
+
+def test_class_group_takes_h_minus_one_compositions(monkeypatch):
+    # each class but the identity is reached by one product, through the
+    # module's compose (the name the benchmark tracer wraps)
+    calls = []
+    traced = classgroup.compose
+
+    def counted(f1, f2):
+        calls.append(1)
+        return traced(f1, f2)
+
+    monkeypatch.setattr(classgroup, "compose", counted)
+    for d in (-5, -221, -3299, -6631, 79, 226, 962494814):
+        class_group.cache_clear()
+        calls.clear()
+        h = class_number(make_field(d))
+        assert h > 1 and len(calls) == h - 1, d
+
+
+def test_class_group_builds_no_ideal(monkeypatch):
+    # generating primes are classed from (p, b), with no HNF ideal or
+    # ideal_to_form on the way
+    def refuse(ideal):
+        raise AssertionError("class_group built an ideal's form")
+
+    monkeypatch.setattr(classgroup, "ideal_to_form", refuse)
+    for d, invariants in ((-5, (2,)), (-221, (2, 8)), (-6631, (44,)), (79, (3,)),
+                          (962494814, (2, 2, 2))):
+        class_group.cache_clear()
+        assert class_group(make_field(d)).invariants == invariants, d
 
 
 def test_class_vectors_are_a_homomorphism():
