@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -409,46 +409,67 @@ def class_group(field: FieldSpec) -> ClassGroup:
     return group
 
 
-def _split_upto(field: FieldSpec, kappa: int, classes: bool):
+def _split_upto(field: FieldSpec, kappa: int, classes: bool, upto_sign: bool = False):
     """(p, f, k, g, above) for each prime p <= kappa in order, skipping an
     inert p with p^2 > kappa: the residue degree f and number k of the
     primes above p, the class g of the first (the other has -g; None
     unless classes), and their list if this pass split p, else None.
+    With upto_sign, g may be the class of the other prime above p, for a
+    caller that treats the two alike.
 
     For a fundamental discriminant D and p not dividing D, (D | p) depends
     only on p mod |D| (quadratic reciprocity; Cohen, GTM 138), and so does
-    the genus of a prime above p, read off the genus characters at p (Cox,
-    Primes of the Form x^2 + ny^2, section 3).  When every invariant of
-    Cl(K) is 2 (the trivial group and real wide groups included), the map
-    from forms to Cl(K) kills squares, so a class is fixed by its genus.
-    So with no classes, or such a group, a residue split once answers
-    (f, k, g) for every later prime with it, with no square root and no
-    reduction.  In other groups only an inert residue does.  A table byte
-    numbers the residue's answer, 0 while it is unseen.  With |D| < kappa
-    <= SIEVE_LIMIT, D has at most 8 prime factors, so such a group has
-    h <= 2^7 and a byte holds each of its at most h + 1 answers.  The
-    table is kept only when |D| < kappa: else no two primes <= kappa share
-    a residue.  The sieve runs at the call, before the group and the table
+    the genus of a prime above p, its class mod Cl(K)^2, read off the genus
+    characters at p (Cox, Primes of the Form x^2 + ny^2, section 3).  So a
+    residue split once answers (f, k, g) for every later prime with it,
+    with no square root and no reduction, whenever the genus fixes what the
+    caller reads: with no classes; for an inert residue, principal in any
+    group; when g + Cl(K)^2 = {g}, that is, when every invariant of Cl(K)
+    is 2 (the trivial group and real wide groups included); and, with
+    upto_sign, when g + Cl(K)^2 = {g, -g}, that is, when Cl(K) is
+    (Z/2)^r x Z/4 and g has order 4.  Each residue is decided once, at its
+    first prime.  A table byte numbers the residue's answer; 0 while it is
+    unseen, and 1 once it is known to need a split at every prime.  With
+    |D| < kappa <= SIEVE_LIMIT, D has at most 8 prime factors, so Cl(K)
+    has 2-rank at most 7: h <= 2^7 for a 2-torsion group and h <= 2^8,
+    with h/2 classes of order 4, for (Z/2)^r x Z/4.  So there are at most
+    129 answers, with the inert one, and a byte holds each.  The table is
+    kept only when |D| < kappa: else no two primes <= kappa share a
+    residue.  The sieve runs at the call, before the group and the table
     are built, and the table is never more than twice the sieve's mask."""
     primes = primes_upto(kappa)
     group = class_group(field) if classes else None
-    genera = group is None or set(group.invariants) <= {2}
+    inv = group.invariants if group else ()
+    # Cl(K)^2 is the sum of the 2Z/m_i: {0, 2(1, ..., 1)} when it has at
+    # most two elements, and else no coset of it lies in any {g, -g}
+    small = prod(n // gcd(n, 2) for n in inv) <= 2
+    squares = {(0,) * len(inv), tuple(2 % n for n in inv)}
     m = abs(field.disc)
     table = bytearray(m) if m < kappa else None
-    answers, codes = [None], {}  # table byte <-> (f, k, g)
+    answers, codes = [None, None], {}  # table byte <-> (f, k, g)
+
+    def genus_fixes(f: int, g) -> bool:
+        if group is None or f == 2:
+            return True
+        coset = {group.add(g, s) for s in squares}
+        return small and coset <= ({g, group.neg(g)} if upto_sign else {g})
 
     def stream():
         for p in primes:
-            if table is not None and (i := table[p % m]):
+            i = 0 if table is None else table[p % m]
+            if i > 1:
                 (f, k, g), above = answers[i], None
             else:
                 above = _primes_above(p, field)
                 f, k, g = above[0].f, len(above), group and group.prime_vector(above[0])
-                if table is not None and m % p and (genera or f == 2):
-                    if (f, k, g) not in codes:
-                        codes[f, k, g] = len(answers)
-                        answers.append((f, k, g))
-                    table[p % m] = codes[f, k, g]
+                if not i and table is not None and m % p:
+                    if genus_fixes(f, g):
+                        if (f, k, g) not in codes:
+                            codes[f, k, g] = len(answers)
+                            answers.append((f, k, g))
+                        table[p % m] = codes[f, k, g]
+                    else:
+                        table[p % m] = 1
             if f == 1 or p * p <= kappa:
                 yield p, f, k, g, above
 

@@ -45,6 +45,7 @@ from atomzeta.series import (
     divergence_table,
     parse_aset,
     DEFAULT_PREC_BITS,
+    MAX_PREC_BITS,
     MIN_PREC_BITS,
 )
 
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     table(p_zeta)
     p_zeta.set_defaults(handler=cmd_zeta)
     p_zeta.add_argument("--prec", type=int, default=DEFAULT_PREC_BITS,
-                        help=f"mantissa precision in bits (>= {MIN_PREC_BITS})")
+                        help=f"mantissa precision in bits, {MIN_PREC_BITS} to {MAX_PREC_BITS}")
     p_zeta.add_argument("--aset", required=True,
                         help="all-atoms | prime-ideals | atoms-dividing-primes | "
                              "atoms-dividing:{all|primes|ap:a,q|list:..|file:PATH}")

@@ -32,6 +32,7 @@ if TYPE_CHECKING:
 
 DEFAULT_PREC_BITS = 100
 MIN_PREC_BITS = 80  # the library clamps below this; the CLI refuses
+MAX_PREC_BITS = 10_000  # above this, library and CLI refuse (CapExceededError)
 INCREMENT_FLOOR = 0.05  # heuristic threshold for the divergence flag
 
 
@@ -148,14 +149,15 @@ def parse_aset(spec: str) -> ASetSpec:
 def _prime_members(field: FieldSpec, aspec: ASetSpec, kappa: int):
     """(p, f, k, above, m, whole) for each prime p <= kappa that gives the
     prime ideals or the atoms dividing the primes members of norm <= kappa,
-    off `classgroup._split_upto` (above is None where it skipped the split):
+    off `classgroup._split_upto` (above is None where it skipped the split)
+    with classes up to sign, as only whether g = 0 is read:
     with whole false, each of the k primes above p, of norm p^f; with whole
     true, (p) alone, of norm p^2.  m is the least member of X each divides,
     1 for the prime ideals.  (p) is P P', P^2 or P itself, and a conjugate
     has the inverse class: the atoms dividing p are the primes above it if
     they are principal, else (p).  The prime ideals read no class."""
     ideals = aspec.kind == "prime-ideals"
-    for p, f, k, g, above in _split_upto(field, kappa, not ideals):
+    for p, f, k, g, above in _split_upto(field, kappa, not ideals, upto_sign=True):
         if ideals or not any(g):
             yield p, f, k, above, 1 if ideals else p, False
         elif p * p <= kappa:
@@ -213,8 +215,10 @@ def _all_atoms(field: FieldSpec, kappa: int, keys: list | None = None):
     """`_atom_walk` over every prime ideal of norm <= kappa, read off
     `classgroup._split_upto`, a split prime next to its conjugate, which
     has the inverse class.  keys, if given, gets (p, c, above) for the
-    c-th prime above p at each walk position."""
-    split = _split_upto(field, kappa, True)  # sieves, then builds the group
+    c-th prime above p at each walk position; else the walk reads each
+    split p's pair of classes only as a set, and takes it up to sign."""
+    # sieves, then builds the group
+    split = _split_upto(field, kappa, True, upto_sign=keys is None)
     group = class_group(field)
 
     def walked():
@@ -259,7 +263,19 @@ def zeta_partial(
 
     Terms are grouped by norm and accumulated in increasing-norm order.
     """
-    return _norm_sum([i.norm for i in ideals if i.norm <= kappa], s, prec_bits)
+    return _norm_sum([i.norm for i in ideals if i.norm <= kappa], s, _prec(prec_bits))
+
+
+def _prec(prec_bits: int) -> int:
+    """The working precision for prec_bits: at least MIN_PREC_BITS, and
+    CapExceededError above MAX_PREC_BITS, before any work.  The terms'
+    integers grow with the precision: 10^6 bits took 5.6 s at kappa = 10,
+    far past the 25 digits the CLI prints."""
+    if prec_bits > MAX_PREC_BITS:
+        raise CapExceededError(
+            f"precision {prec_bits} bits exceeds the cap of {MAX_PREC_BITS} bits"
+        )
+    return max(prec_bits, MIN_PREC_BITS)
 
 
 def _iroot(y: int, b: int) -> int:
@@ -289,9 +305,9 @@ def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
     return man, exp + n
 
 
-def _norm_sum(norms: list[int], s: Fraction, prec_bits: int) -> tuple[mpmath.mpf, int]:
+def _norm_sum(norms: list[int], s: Fraction, prec: int) -> tuple[mpmath.mpf, int]:
     """(sum of n^-s over norms, count), terms of equal norm grouped and
-    added in increasing-norm order, each rounded to prec bits.
+    added in increasing-norm order, each rounded to prec bits (a `_prec`).
 
     With s = a/b, b <= 3 and |a| * bits(n) <= 8 * prec, each distinct n
     gives t = floor(2^K n^-s) exactly in integers: the floor b-th root of
@@ -314,7 +330,6 @@ def _norm_sum(norms: list[int], s: Fraction, prec_bits: int) -> tuple[mpmath.mpf
     from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_neg, mpf_pow
 
     count = len(norms)
-    prec = max(prec_bits, MIN_PREC_BITS)
     a, b = s.numerator, s.denominator
     groups = sorted(Counter(norms).items())
     bits = groups[-1][0].bit_length() if groups else 0
@@ -395,6 +410,7 @@ def divergence_table(
         raise DomainError("kappa grid must be nonempty and strictly increasing")
     if kappa_grid[0] < 1:
         raise DomainError("kappa must be >= 1")
+    prec = _prec(prec_bits)
     # one build at the largest kappa, kept as (norm, least m in X) with
     # m = 1 for sets not drawn from X; a row counts the pairs with both <= kappa
     top = kappa_grid[-1]
@@ -409,7 +425,7 @@ def divergence_table(
     rows = []
     for kappa in kappa_grid:
         norms = [n for n, m in table if n <= kappa and m <= kappa]
-        total, count = _norm_sum(norms, s, prec_bits)
+        total, count = _norm_sum(norms, s, prec)
         rows.append(SeriesRow(kappa, count, total))
     return SeriesTable(field.label(), aspec.label(), s, tuple(rows))
 
@@ -423,7 +439,7 @@ def euler_primes_sum(x: int, prec_bits: int = DEFAULT_PREC_BITS) -> mpmath.mpf:
 
     if x < 2:
         raise DomainError("x must be >= 2")
-    prec = max(prec_bits, MIN_PREC_BITS)
+    prec = _prec(prec_bits)
     k = prec + 64
     scaled = sum(map((1 << k).__floordiv__, primes_upto(x)))
     with mpmath.workprec(prec):
@@ -452,13 +468,13 @@ class CensusTable:
 
     def ratio(self, x: float) -> float | None:
         """A(x) * log(x) / (x * (log log x)^(D-1)); None for x <= e."""
-        if x <= _E:
-            return None
-        return (
-            self.cumulative(x)
-            * log(x)
-            / (x * log(log(x)) ** (self.davenport - 1))
-        )
+        return _ratio(self.cumulative(x), x, self.davenport)
+
+
+def _ratio(cumulative: int, x: float, davenport: int) -> float | None:
+    if x <= _E:
+        return None
+    return cumulative * log(x) / (x * log(log(x)) ** (davenport - 1))
 
 
 def atom_census(field: FieldSpec, kappa: int) -> CensusTable:
@@ -484,10 +500,19 @@ class AsymptoticRow:
 
 def asymptotic_report(census: CensusTable, xs: list[int]) -> list[AsymptoticRow]:
     """Ratio trend rows; states the trend only, never an estimate of the
-    limiting constant (desk-scale x is far too small for log log x)."""
+    limiting constant (desk-scale x is far too small for log log x).  One
+    pass over the counts, with the xs in increasing order, gives every
+    A(x)."""
+    counts, i, a = census.counts, 0, 0
+    cumulative = {}
+    for x in sorted(set(xs)):
+        while i < len(counts) and counts[i][0] <= x:
+            a += counts[i][1]
+            i += 1
+        cumulative[x] = a
     out = []
     for x in xs:
-        r = census.ratio(x)
+        r = _ratio(cumulative[x], x, census.davenport)
         note = "" if r is not None else "skipped: log log undefined for x <= e"
-        out.append(AsymptoticRow(x, census.cumulative(x), r, note))
+        out.append(AsymptoticRow(x, cumulative[x], r, note))
     return out

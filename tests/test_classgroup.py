@@ -463,11 +463,37 @@ def test_split_upto_classes_match_per_prime_oracle():
                     assert above in (None, split) and (g is None) == (group is None), (d, kappa)
 
 
+def test_split_upto_sign_classes_match_per_prime_oracle_up_to_sign():
+    # a caller that reads classes only up to sign also takes a residue's
+    # first answer where its genus fixes the pair {g, -g} but not g: at the
+    # classes of order 4 of (Z/2)^r x Z/4.  Against the oracle, which splits
+    # and reduces every p, f, k and the split lists match exactly and g as
+    # {g, -g}, in the fields of the exact test and in Z/2^r x Z/4 for
+    # r = 0, 1, 2, 3 (-14, 82; -65, 399; -285, 4810; -1785); only those
+    # groups ever give the class of the other prime
+    ds = [d for d in range(-399, 400) if d not in (0, 1) and is_squarefree(d)]
+    flipped = set()
+    for f in [make_field(d) for d in ds + [-1155, -1365, 210, -221, 79, -1785, 4810]]:
+        d, m, group = f.d, abs(f.disc), class_group(f)
+        for kappa in (m - 1, m + 1, 3 * m):
+            got = list(_split_upto(f, kappa, True, upto_sign=True))
+            want = list(split_per_prime(f, kappa, group))
+            assert [t[:3] for t in got] == [t[:3] for t in want], (d, kappa)
+            for (_, _, _, g, above), (*_, h, split) in zip(got, want):
+                assert g in (h, group.neg(h)) and above in (None, split), (d, kappa)
+                if g != h:
+                    flipped.add(group.invariants)
+    assert flipped == {(4,), (2, 4), (2, 2, 4), (2, 2, 2, 4)}
+
+
 def test_split_upto_takes_square_roots_by_residue(monkeypatch):
     # in Z/2 (d = -5, |D| = 20) a pass takes one square root per residue,
-    # whichever consumer runs it; in Z/4 (d = -14) it takes one per split p,
-    # and only an inert residue seen before skips its square root, except
-    # for the prime ideals, which read no class: one per residue there too
+    # whichever consumer runs it.  In Z/4 (d = -14) a consumer that reads
+    # exact classes takes one per split p, and only an inert residue seen
+    # before skips its square root.  One that reads classes up to sign takes
+    # one per residue of a class of order 4, whose genus fixes {g, -g}, and
+    # still one per split p of the principal genus {0, 2}.  The prime
+    # ideals, which read no class, take one per residue
     from atomzeta import ideals
     from atomzeta.series import _all_atoms, divergence_table, parse_aset
 
@@ -475,29 +501,38 @@ def test_split_upto_takes_square_roots_by_residue(monkeypatch):
     sqrt = ideals.sqrt_mod_prime
     monkeypatch.setattr(ideals, "sqrt_mod_prime", lambda n, p: calls.append(p) or sqrt(n, p))
     kappa, half = 10**5, Fraction(1, 2)
-    for d, genera in ((-5, True), (-14, False)):
+    for d in (-5, -14):
         f = make_field(d)
-        class_group(f)
-        m = abs(f.disc)
-        want = {}  # by residue or not -> square roots
-        for by_residue in {genera, True}:
-            seen, want[by_residue] = set(), 0  # p = 2 takes no square root
-            for p in primes_trial(kappa)[1:]:
-                if (by_residue and m % p) or kronecker_symbol(f.disc, p) == -1:
-                    if p % m in seen:
+        group = class_group(f)
+        m, zero = abs(f.disc), (0,) * len(group.invariants)
+        genera = set(group.invariants) <= {2}
+        want = {"exact": 0, "sign": 0, "residue": 0}  # square roots by consumer
+        seen = {mode: set() for mode in want}
+        for p in primes_trial(kappa)[1:]:  # p = 2 takes no square root
+            split = kronecker_symbol(f.disc, p) == 1
+            g = group.vector(primes_above(p, f)[0].ideal)
+            fixed = genera or not split
+            for mode, by_residue in (
+                ("exact", fixed), ("sign", fixed or group.add(g, g) != zero), ("residue", True),
+            ):
+                if by_residue and m % p:
+                    if p % m in seen[mode]:
                         continue
-                    seen.add(p % m)
-                want[by_residue] += 1
+                    seen[mode].add(p % m)
+                want[mode] += 1
+        assert want["residue"] <= m and (want["sign"] == want["exact"]) == genera, (d, want)
         consumers = (
-            (genera, lambda: list(_split_upto(f, kappa, True))),
-            (genera, lambda: list(_all_atoms(f, kappa))),
-            (genera, lambda: divergence_table(f, parse_aset("atoms-dividing:primes"), half, [kappa])),
-            (True, lambda: divergence_table(f, parse_aset("prime-ideals"), half, [kappa])),
+            ("exact", lambda: list(_split_upto(f, kappa, True))),
+            ("exact", lambda: list(_all_atoms(f, kappa, []))),
+            ("sign", lambda: list(_split_upto(f, kappa, True, upto_sign=True))),
+            ("sign", lambda: list(_all_atoms(f, kappa))),
+            ("sign", lambda: divergence_table(f, parse_aset("atoms-dividing:primes"), half, [kappa])),
+            ("residue", lambda: divergence_table(f, parse_aset("prime-ideals"), half, [kappa])),
         )
-        for by_residue, consume in consumers:
+        for mode, consume in consumers:
             calls.clear()
             consume()
-            assert len(calls) == want[by_residue] <= (m if by_residue else kappa), d
+            assert len(calls) == want[mode], (d, mode)
 
 
 def test_split_upto_table_is_one_byte_per_residue():

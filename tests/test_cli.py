@@ -618,6 +618,45 @@ def test_census_golden_bytes_deep_cyclic(capsys):
     )
 
 
+# SHA-256 of `census --kappa 1e5` and `zeta --s 1/2 --kappa 1e3,1e4,1e5`
+# stdout in (Z/2)^r x Z/4 for r = 0 .. 3, captured before the census walk
+# and the atoms dividing the primes read classes up to sign off the genus
+GENUS_GOLDEN = {
+    ("-14", "census"): "1eba91ee8ed54266b76be703b9d61d60361bcf654fe2447caef44fc4308a1dbc",
+    ("-14", "all-atoms"): "f792ef43db6b3c668ebd2fefcdabd2e128ebdce195c1e57ad1df76296a477c6b",
+    ("-14", "atoms-dividing:primes"): "07be17ed53a9842ba9e35c3e1ae3fcf970480b9108a51fad7dc841d3d1be86a7",
+    ("-65", "census"): "c23932da0c4c37def0009cc452474aecff668288f2a55cdccbf8c3092fc2c856",
+    ("-65", "all-atoms"): "47a7fb8c71e1f00174b6e5a5185da0bc890c01256a82be0b92ec688a7c304f54",
+    ("-65", "atoms-dividing:primes"): "7b864874642ca8c85b8a735e66155e67a8a69724dd3ddf1e43d73e5f2dbf93ff",
+    ("-285", "census"): "7835aaeca40abd167c45fa7bcdf9205d842a9f37b2b464a02dfacce86302c2b1",
+    ("-285", "all-atoms"): "404d9bc3438411cd34deca6ac486bc044396af93238ac2426e343887932f60df",
+    ("-285", "atoms-dividing:primes"): "e58671a120eb5700e2d30fa79a34a72c4fc7138603c20bf9b0d4a12d5cde3aea",
+    ("-1785", "census"): "0b2c230f18dac967bd796587520329e9cd064489aac86df2f847a06f1e4b493b",
+    ("-1785", "all-atoms"): "e41b2c17eefd491d5f44153da49094ee2190ea484f3539f3bf5fda90d6d0311d",
+    ("-1785", "atoms-dividing:primes"): "f220b43bcaed58126ca67a2ceddaac344ff1bfac7a04f8dfdb63d340fdb5346e",
+    ("82", "census"): "4b52584447f96023b45a6befbb3936c53090db6b59a59c754a503abdf86bdd62",
+    ("82", "all-atoms"): "046f21f2043906c4fdc30948768a4d46351546b0869901a1d067210c907d96f4",
+    ("82", "atoms-dividing:primes"): "108f3bbf0d7518aab74addf35c8542c2cdffd43c767716da50b0c414ad0bc498",
+    ("399", "census"): "03ca630826ccf3a5c212f316c9e5ea9a49b438ff94eb0803119c25d663315cb5",
+    ("399", "all-atoms"): "cef4c5de09b212d84e0964ed942f73bfaca9283fd129461ce129629d56c2fc0f",
+    ("399", "atoms-dividing:primes"): "69eb50abcb0c98a143973a235348560c76ea843d41ab5686030e14064d0ef458",
+    ("4810", "census"): "869814f09ff0162c7ec7da9604d0df0f87ef4ddeed18ee24156d4dd54479211d",
+    ("4810", "all-atoms"): "3b96fbb6f089e7f290f4540a043fdef1d542d977023c15b7810ffb8e559b2fa7",
+    ("4810", "atoms-dividing:primes"): "5459ad670dd6d1e65f66b3854e703798167abdd9890e5e51a2173f2396fa8469",
+}
+
+
+def test_genus_golden_bytes(capsys):
+    for (d, kind), digest in GENUS_GOLDEN.items():
+        if kind == "census":
+            argv = ["census", "-d", d, "--kappa", "1e5"]
+        else:
+            argv = ["zeta", "-d", d, "--aset", kind, "--s", "1/2", "--kappa", "1e3,1e4,1e5"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, (d, kind)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, kind)
+
+
 def test_census_json_meta(capsys):
     code, out, _ = run_cli(
         capsys, "census", "-d", "-5", "--kappa", "100", "--format", "json"
@@ -736,6 +775,20 @@ def test_prec_below_80_exit_2(capsys):
     assert code == 2 and out == ""
     assert err.startswith("atomzeta: error:") and "--prec" in err
     code, out, _ = run_cli(capsys, *zeta, "--kappa", "100", "--prec", "80")
+    assert code == 0 and out
+    # above MAX_PREC_BITS the terms' integers grow past desk scale: 10^7 bits
+    # ran past 20 s at kappa = 10, and 10^5 bits at s = 1/3 and kappa = 1e3;
+    # refused before any work, in every set, naming the cap
+    for aset, s, kappa in (("all-atoms", "1/2", "10"), ("all-atoms", "1/3", "1e3"),
+                           ("atoms-dividing:primes", "1/2", "1e6")):
+        for prec in ("10001", "100000", "10000000"):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "zeta", "-d", "-5", "--aset", aset, "--s", s,
+                                     "--kappa", kappa, "--prec", prec)
+            assert time.perf_counter() - start < 1.0, (aset, prec)
+            assert code == 2 and out == "", (aset, prec)
+            assert err.startswith("atomzeta: error:") and "cap of 10000 bits" in err
+    code, out, _ = run_cli(capsys, *zeta, "--kappa", "100", "--prec", "10000")
     assert code == 0 and out
     # --prec sets the precision of zeta's sums only; census has none to set
     with pytest.raises(SystemExit) as exc:

@@ -12,6 +12,7 @@ from atomzeta.ideals import kronecker_symbol, primes_above
 from atomzeta.ring import make_field, rational_field
 from atomzeta.series import (
     DEFAULT_PREC_BITS,
+    MAX_PREC_BITS,
     ASetSpec,
     XSetSpec,
     _atom_parts,
@@ -108,6 +109,18 @@ def test_build_all_atoms_f5():
     assert norms.count(4) == 1 and norms.count(6) == 2 and norms.count(9) == 3
     assert 2 not in norms and 3 not in norms  # non-principal prime ideals excluded
     assert norms.count(36) == 0  # 6 is not an atom
+
+
+def test_build_all_atoms_every_ideal_principal():
+    # build_ideal_set maps each walk position to the c-th prime above p, so
+    # it needs each prime's exact class: with a class taken up to sign in
+    # Z/4 or Z/2 x Z/4, a position may name the conjugate of an atom's prime
+    # and the product built is then no atom, and not even principal
+    from atomzeta.classgroup import is_principal_class
+
+    for d in (-14, -65, 82):
+        ideals = build_ideal_set(make_field(d), parse_aset("all-atoms"), 2 * 10**4)
+        assert len(ideals) > 1000 and all(map(is_principal_class, ideals)), d
 
 
 def test_build_atoms_dividing_union():
@@ -224,6 +237,24 @@ def test_zeta_partial_precision_floor():
     lo, _ = zeta_partial(ideals, Fraction(1), 50, prec_bits=16)  # clamped to 80
     hi, _ = zeta_partial(ideals, Fraction(1), 50, prec_bits=80)
     assert lo == hi
+
+
+def test_precision_cap_refused_before_work():
+    # every entry that sums takes MAX_PREC_BITS and refuses one bit more,
+    # divergence_table before it builds its set
+    ideals = build_ideal_set(F1, parse_aset("prime-ideals"), 50)
+    half, top = Fraction(1, 2), MAX_PREC_BITS
+    assert zeta_partial(ideals, half, 50, prec_bits=top)[1] == len(ideals)
+    assert euler_primes_sum(10, prec_bits=top) > 1
+    for call in (
+        lambda: zeta_partial(ideals, half, 50, prec_bits=top + 1),
+        lambda: euler_primes_sum(10, prec_bits=top + 1),
+        lambda: divergence_table(F1, parse_aset("all-atoms"), half, [10**8], prec_bits=top + 1),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match=f"cap of {top} bits"):
+            call()
+        assert time.perf_counter() - start < 0.1
 
 
 def test_norm_sum_matches_mpf_loop_oracle_bit_for_bit():
@@ -529,3 +560,16 @@ def test_census_ratio_and_report():
     assert rows[0].ratio is None and "log log" in rows[0].note
     assert rows[1].cumulative == census.cumulative(10)
     assert rows[2].ratio == census.ratio(100)
+
+
+def test_asymptotic_report_one_pass_matches_cumulative_and_ratio():
+    # the report reads A(x) off one running pass; cumulative and ratio scan
+    # the counts per x.  The same ints and floats at every decade, at x on a
+    # norm, between norms, before the first, past the last and unsorted
+    for field, kappa in ((F5, 10**5), (make_field(-14), 10**4), (Q, 10**3), (F1, 2)):
+        census = atom_census(field, kappa)
+        decades = [10**j for j in range(7)] + [2, 2.5, 3, 29, 30.5, 7, kappa + 1]
+        for row, x in zip(asymptotic_report(census, decades), decades):
+            assert row.x == x and row.cumulative == census.cumulative(x), (field, x)
+            assert row.ratio == census.ratio(x), (field, x)
+            assert bool(row.note) == (row.ratio is None), (field, x)
