@@ -62,37 +62,43 @@ def factor_into_atoms(e: RingElement) -> AtomFactorization:
     the remaining prime-ideal multiset by (size, exponent vector); it has
     no principal proper sub-product, which makes the generator an atom.
     The atoms of a sub-box are the atoms of the whole box that fit in it,
-    so one walk lists every candidate: in that order, each atom is taken
-    as often as it fits in what remains.
+    so one walk lists every candidate, each as its exponent vector over
+    the primes of (e): in that order, each atom is taken as often as it
+    fits in what remains.
     """
     if e.is_zero():
         raise ZeroElementError("zero has no atom factorization")
     if e.is_unit():
         raise UnitElementError("unit has no atom factorization")
-    field = e.field
     fac = factor_ideal(principal_ideal(e)).factors
-    remaining = dict(fac)
-
-    def order(atom):  # (size, exponent vector in the order of fac)
-        k = dict(atom[1])
-        vec = [k.get(prime, 0) for prime in remaining]
-        return sum(vec), vec
-
-    grouped: dict[RingElement, int] = {}
-    for _, parts in sorted(_box_atoms(field, fac, abs(e.norm())), key=order):
-        times = min(remaining[prime] // k for prime, k in parts)
+    found = []  # (size, exponent vector, norm) of every atom of the box
+    for norm, frames, i, k in _atom_walk(*_classed(e.field, fac), abs(e.norm())):
+        vec = [0] * len(fac)
+        for h, kh, _, _, _ in frames:
+            vec[h] = kh
+        vec[i] = k
+        found.append((sum(vec), vec, norm))
+    remaining = [top for _, top in fac]
+    taken = []
+    for _, vec, norm in sorted(found):
+        times = min(remaining[h] // k for h, k in enumerate(vec) if k)
         if not times:
             continue
-        grouped[_atom_generator(parts)] = times
-        for prime, k in parts:
-            remaining[prime] -= times * k
-    if any(remaining.values()):
+        for h, k in enumerate(vec):
+            remaining[h] -= times * k
+        gen = _atom_generator(tuple((fac[h][0], k) for h, k in enumerate(vec) if k))
+        taken.append((norm, gen.x, gen.y, gen, times))
+    if any(remaining):
         raise InternalInvariantError("no principal sub-product found")
-    ordered = sorted(grouped.items(), key=lambda t: (abs(t[0].norm()), t[0].x, t[0].y))
-    unit = exact_div(e, AtomFactorization(field.one, tuple(ordered)).value())
+    taken.sort()  # by (|N|, x, y): distinct atoms never tie there
+    factors = tuple((gen, times) for _, _, _, gen, times in taken)
+    product = e.field.one
+    for atom, k in factors:
+        product = product * atom**k
+    unit = exact_div(e, product)
     if unit is None or not unit.is_unit():
         raise InternalInvariantError("leftover after atom extraction is not a unit")
-    return AtomFactorization(unit, tuple(ordered))
+    return AtomFactorization(unit, factors)
 
 
 # bounded like is_principal's cache; atoms repeat across the elements
@@ -107,24 +113,27 @@ def _atom_generator(parts) -> RingElement:
     return canonical_associate(gen)
 
 
-def _box_atoms(field: FieldSpec, fac, cap: int):
-    """(norm, parts) for every atom of norm <= cap that divides the box
-    fac = ((PrimeIdeal, e), ...), once each and in no set order; parts =
-    ((PrimeIdeal, k), ...) lists its primes in the order of fac.
-
-    Each prime is classed, a split prime next to its conjugate taking the
-    inverse class, for `_atom_walk`, and an atom's parts are read off the
-    frames it yields.  A non-principal prime has degree 1, so fac in order
-    of p gives the walk its non-principal primes in norm order, as
-    factor_ideal and _factor_rational give them.
-    """
+def _classed(field: FieldSpec, fac):
+    """(group, primes) for _atom_walk over the box fac = ((PrimeIdeal, e),
+    ...): each prime as (norm, class, e), a split prime next to its
+    conjugate taking the inverse class.  A non-principal prime has degree
+    1, so fac in order of p gives the walk its non-principal primes in norm
+    order, as factor_ideal and _factor_rational give them."""
     group = class_group(field)
-    walked, g, last = [], None, 0
+    primes, g, last = [], None, 0
     for prime, top in fac:
         g = group.neg(g) if prime.p == last else group.prime_vector(prime)
         last = prime.p
-        walked.append((prime.norm, g, top))
-    for norm, frames, i, e in _atom_walk(group, walked, cap):
+        primes.append((prime.norm, g, top))
+    return group, primes
+
+
+def _box_atoms(field: FieldSpec, fac, cap: int):
+    """(norm, parts) for every atom of norm <= cap that divides the box
+    fac = ((PrimeIdeal, e), ...), once each and in no set order; parts =
+    ((PrimeIdeal, k), ...) lists its primes in the order of fac, read off
+    the frames the walk yields."""
+    for norm, frames, i, e in _atom_walk(*_classed(field, fac), cap):
         parts = ()
         for h, k, _, _, _ in frames:
             parts += ((fac[h][0], k),)

@@ -229,7 +229,8 @@ def _principal_walk(ideal: Ideal) -> tuple[bool, RingElement | None]:
 
 # bounded, as each distinct ideal asked about holds an entry;
 # factor_into_atoms asks once per distinct atom (atoms._atom_generator
-# keeps its generator), some 850 ideals in 2,000 factorizations
+# keeps its generator), some 850 ideals in 2,000 factorizations, and so
+# never hits it; the benchmark's tracer reads its cache_info()
 @lru_cache(maxsize=2**16)
 def is_principal(ideal: Ideal) -> tuple[bool, RingElement | None]:
     """(True, generator) when the ideal is principal, else (False, None)."""
@@ -295,17 +296,26 @@ class ClassGroup:
     coords: dict[QuadForm | None, tuple[int, ...]]
 
     def vector(self, ideal: Ideal) -> tuple[int, ...]:
-        return self.coords[ideal_class_form(ideal)] if self.invariants else ()
+        """The class of ideal = (c) <a/c, b/c + w>: that of its primitive
+        part, as ideal_class_form reads it."""
+        if not self.invariants:
+            return ()
+        c = ideal.c
+        return self._class(ideal.a // c, ideal.b // c, ideal.field.disc)
 
     def prime_vector(self, prime: PrimeIdeal) -> tuple[int, ...]:
         """vector(prime.ideal) from (p, b) alone.  An inert prime is (p),
         principal; <p, b + w> maps to the form of ideal_to_form."""
         if prime.f == 2 or not self.invariants:
             return (0,) * len(self.invariants)
-        disc = prime.field.disc
-        vec = self.coords.get(_reduce(*_form(prime.p, prime.b, disc), disc))
+        return self._class(prime.p, prime.b, prime.field.disc)
+
+    def _class(self, a: int, b: int, disc: int) -> tuple[int, ...]:
+        """The vector of <a, b + w>.  coords holds reduced forms only, so a
+        form that _reduce left unreduced is a miss too."""
+        vec = self.coords.get(_reduce(*_form(a, b, disc), disc))
         if vec is None:
-            raise InternalInvariantError("prime form reduced to no class of the group")
+            raise InternalInvariantError("form reduced to no class of the group")
         return vec
 
     def add(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:

@@ -123,9 +123,19 @@ def ideal_from_elements(field: FieldSpec, gens: list[RingElement]) -> Ideal:
 
 
 def principal_ideal(e: RingElement) -> Ideal:
+    """(e) in closed form.  (e) = (c)(e') for c = gcd(x, y), and the
+    primitive (e') = <A, B + w> with A = |N(e')| and B = x'/y' mod A: it
+    holds e' = y'(B + w) + (x' - y'B), and y' is prime to A, since N(e')
+    is x'^2 plus a multiple of y' and gcd(x', y') = 1.  Over Q,
+    (e) = (|x|)."""
     if e.is_zero():
         raise ZeroElementError("zero does not generate a nonzero ideal")
-    return ideal_from_elements(e.field, [e])
+    field, x, y = e
+    if field.is_rational:
+        return Ideal(field, abs(x), 0, 1)
+    c = gcd(x, y)
+    a = abs(e.norm()) // (c * c)
+    return Ideal(field, c * a, c * (x // c * pow(y // c, -1, a) % a), c)
 
 
 def ideal_mul(i1: Ideal, i2: Ideal) -> Ideal:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from atomzeta.errors import (
     ImaginaryFieldError,
@@ -104,9 +105,10 @@ def rational_field() -> FieldSpec:
     return FieldSpec(d=None, degree=1, disc=1, half_basis=False)
 
 
-@dataclass(frozen=True)
-class RingElement:
-    """x + y*w in integral-basis coordinates; immutable and hashable."""
+class RingElement(NamedTuple):
+    """x + y*w in integral-basis coordinates; immutable and hashable, equal
+    to and hashed as the plain (field, x, y).  + and * are the ring's, not
+    the tuple's, and n * e is refused rather than repeating the tuple."""
 
     field: FieldSpec
     x: int
@@ -140,6 +142,9 @@ class RingElement:
                 f, x1 * x2 + c * (f.d - 1) // 4, x1 * y2 + x2 * y1 + c
             )
         return RingElement(f, x1 * x2 + f.d * y1 * y2, x1 * y2 + x2 * y1)
+
+    def __rmul__(self, other):
+        return NotImplemented
 
     def __pow__(self, n: int) -> "RingElement":
         if n < 0:

@@ -6,7 +6,7 @@ sqrt(d) and an mpmath cube root, irreducibility from a divisor-class
 scan, ideal enumeration from a raw HNF triple scan, prime ideals from a
 scan of every b mod p, class groups from counting f^(p^k) = 1 over every
 reduced form, atom factorizations from a scan of every sub-product in
-order, atom sets from a level-by-level sub-box search, the walk's step
+order and from the walk's atoms read as prime-keyed parts, atom sets from a level-by-level sub-box search, the walk's step
 table from the walk that recomputes every node's subsum set, the classes
 read off the residue table from splitting and reducing every prime, Davenport
 constants from a subset-sum search over tuples, the Euler sum and the row
@@ -419,6 +419,38 @@ def factor_scan(e: RingElement):
         grouped[a] = grouped.get(a, 0) + 1
     ordered = sorted(grouped.items(), key=lambda t: (abs(t[0].norm()), t[0].x, t[0].y))
     return AtomFactorization(exact_div(e, prod), tuple(ordered))
+
+
+def factor_by_parts(e: RingElement):
+    """The atom factorization that factor_into_atoms must return, by its
+    extraction before exponent vectors: each atom of the walk as its parts
+    ((PrimeIdeal, k), ...), ordered by (size, exponent vector) through
+    PrimeIdeal-keyed dicts, taken as often as it fits, and the generators
+    re-sorted by |N|.  (e) comes from the generic HNF of e and e*w."""
+    from atomzeta.atoms import AtomFactorization, _atom_generator, _box_atoms
+    from atomzeta.ideals import factor_ideal, ideal_from_elements
+
+    field = e.field
+    fac = factor_ideal(ideal_from_elements(field, [e])).factors
+    remaining = dict(fac)
+
+    def order(atom):  # (size, exponent vector in the order of fac)
+        k = dict(atom[1])
+        vec = [k.get(prime, 0) for prime in remaining]
+        return sum(vec), vec
+
+    grouped = {}
+    for _, parts in sorted(_box_atoms(field, fac, abs(e.norm())), key=order):
+        times = min(remaining[prime] // k for prime, k in parts)
+        if not times:
+            continue
+        grouped[_atom_generator(parts)] = times
+        for prime, k in parts:
+            remaining[prime] -= times * k
+    if any(remaining.values()):
+        raise AssertionError("no principal sub-product")
+    ordered = tuple(sorted(grouped.items(), key=lambda t: (abs(t[0].norm()), t[0].x, t[0].y)))
+    return AtomFactorization(exact_div(e, AtomFactorization(field.one, ordered).value()), ordered)
 
 
 def principal_by_unit_band(ideal, cap: int = 10**5):

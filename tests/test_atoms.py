@@ -17,13 +17,20 @@ from atomzeta.atoms import (
 )
 from atomzeta.classgroup import class_group
 from atomzeta.errors import InternalInvariantError, UnitElementError, ZeroElementError
-from atomzeta.ideals import _factor_rational, _prime_pool, primes_above, principal_ideal
+from atomzeta.ideals import (
+    _factor_rational,
+    _prime_pool,
+    factor_ideal,
+    primes_above,
+    principal_ideal,
+)
 from atomzeta.ring import canonical_associate, is_associated, make_field, rational_field
 from atomzeta.series import atom_census, build_ideal_set, parse_aset
 from atomzeta.sieve import primes_upto
 from oracles import (
     atom_walk_direct,
     atoms_dividing_brute,
+    factor_by_parts,
     factor_scan,
     is_atom_brute,
     reps_by_norm,
@@ -102,6 +109,32 @@ def test_factor_into_atoms_matches_scan_oracle():
                 sample.append(e)
         for e in sample:
             assert factor_into_atoms(e) == factor_scan(e), (d, e)
+
+
+def test_factor_into_atoms_matches_parts_oracle():
+    # the walk's atoms read as exponent vectors against the PrimeIdeal-keyed
+    # parts they replaced: the same unit and (atom, exponent) pairs in the
+    # same order, in the benchmark's 8 fields, Q, the real Z/3 of d = 79,
+    # d = 631 (a 12-digit fundamental unit), Z/2 x Z/8 (d = -221) and
+    # Z/3 x Z/9 (d = -3299); products of two integers give boxes whose
+    # atoms span three or more distinct primes
+    rng = random.Random(33)
+    spans = Counter()
+    for d in (-1, -5, -14, -23, 2, 3, 5, 10, None, 79, 631, -221, -3299):
+        f = rational_field() if d is None else make_field(d)
+        size = 10 if d == 631 else 30
+        sample = [f.element(rng.randint(2, 600)) for _ in range(size // 3)]
+        sample += [f.element(rng.randint(2, 600) * rng.randint(2, 600)) for _ in range(size // 3)]
+        while len(sample) < size:
+            e = f.element(rng.randint(-16, 16), 0 if d is None else rng.randint(-16, 16))
+            if not (e.is_zero() or e.is_unit()):
+                sample.append(e)
+        for e in sample:
+            got = factor_into_atoms(e)
+            assert got == factor_by_parts(e), (d, e)
+            for atom, _ in got.factors:
+                spans[d, len(factor_ideal(principal_ideal(atom)).factors)] += 1
+    assert spans[-221, 3] and spans[-3299, 3], spans
 
 
 def _cache_sample():

@@ -9,6 +9,7 @@ import pytest
 from atomzeta import classgroup
 from atomzeta.classgroup import (
     AbelianGroupSpec,
+    ClassGroup,
     QuadForm,
     _principal_walk,
     _split_upto,
@@ -25,7 +26,7 @@ from atomzeta.classgroup import (
     principal_form,
     reduce_form,
 )
-from atomzeta.errors import CapExceededError, DomainError
+from atomzeta.errors import CapExceededError, DomainError, InternalInvariantError
 from atomzeta.ideals import (
     ideal_mul, kronecker_symbol, primes_above, principal_ideal, unit_ideal,
 )
@@ -432,7 +433,8 @@ def test_conjugate_prime_vectors_cancel():
 
 
 def test_prime_vectors_match_hnf_form_path():
-    # the (p, b) path against vector(prime.ideal): HNF -> form -> reduce_form
+    # the (p, b) path and vector(prime.ideal) against the HNF path through
+    # reduce_form: HNF -> ideal_class_form -> coords
     for d in (-1, -3, -5, -14, -23, -221, -1155):
         f = make_field(d)
         group = class_group(f)
@@ -440,8 +442,25 @@ def test_prime_vectors_match_hnf_form_path():
         for p in primes_trial(3000):
             for prime in primes_above(p, f):
                 kinds.add(prime.kind)
-                assert group.prime_vector(prime) == group.vector(prime.ideal), (d, p, prime.b)
+                want = group.coords[ideal_class_form(prime.ideal)] if group.invariants else ()
+                assert group.prime_vector(prime) == want, (d, p, prime.b)
+                assert group.vector(prime.ideal) == want, (d, p, prime.b)
         assert kinds == {"split", "inert", "ramified"}, d
+
+
+def test_class_lookup_miss_is_an_internal_invariant_error():
+    # a form that reduces to no keyed class raises InternalInvariantError,
+    # which the CLI turns into exit 3, and not a bare KeyError; vector and
+    # prime_vector share the lookup
+    group = class_group(F5)
+    missing = ClassGroup(group.identity, group.invariants, {group.identity: (0,)})
+    prime = primes_above(3, F5)[0]  # not principal
+    for lookup in (lambda: missing.vector(prime.ideal), lambda: missing.prime_vector(prime)):
+        with pytest.raises(InternalInvariantError, match="no class of the group"):
+            lookup()
+    assert missing.vector(principal_ideal(F5.element(3, 1))) == (0,)
+    inert = primes_above(11, F5)[0]
+    assert inert.kind == "inert" and missing.prime_vector(inert) == (0,)
 
 
 def test_split_upto_classes_match_per_prime_oracle():

@@ -834,3 +834,21 @@ def test_main_reuses_one_parser_like_fresh_calls(capsys):
     for _ in range(2):
         assert [call(argv) for argv in argvs] == fresh
 
+
+
+def test_class_lookup_miss_exits_3(monkeypatch, capsys):
+    # a class group whose coords lack a class is an internal fault: exit 3
+    # with a message, as the README's exit-code contract says, not a bare
+    # KeyError; here the principality test of each new atom's ideal meets
+    # a group with no principal class, while the walk classes the primes
+    # with the true group
+    from atomzeta import atoms, classgroup
+
+    group = classgroup.class_group(make_field(-5))
+    missing = classgroup.ClassGroup(
+        group.identity, group.invariants, {f: v for f, v in group.coords.items() if any(v)})
+    monkeypatch.setattr(classgroup, "class_group", lambda field: missing)
+    atoms._atom_generator.cache_clear()
+    classgroup.is_principal.cache_clear()
+    assert main(["factor", "-d", "-5", "6"]) == 3
+    assert "no class of the group" in capsys.readouterr().err

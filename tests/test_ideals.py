@@ -10,6 +10,7 @@ from atomzeta.ideals import (
     _primes_above,
     enumerate_ideals_factored,
     factor_ideal,
+    ideal_from_elements,
     ideal_mul,
     kronecker_symbol,
     primes_above,
@@ -18,7 +19,7 @@ from atomzeta.ideals import (
     sqrt_mod_prime,
     unit_ideal,
 )
-from atomzeta.ring import make_field, rational_field
+from atomzeta.ring import fundamental_unit, make_field, rational_field, roots_of_unity
 from atomzeta.sieve import primes_upto
 from oracles import divisor_ideals, hnf_triples_brute, prime_hnfs_brute
 
@@ -33,6 +34,37 @@ def test_principal_ideal_examples():
     assert principal_ideal(F1.one) == unit_ideal(F1)
     with pytest.raises(ZeroElementError):
         principal_ideal(F1.zero)
+
+
+def test_principal_ideal_closed_form_matches_generic_hnf():
+    # (e) = (c) <A, B + w> against the HNF of e and e*w in Q and 16
+    # quadratic fields: both integral bases, real and imaginary, x = 0,
+    # y = 0, units, a shared factor c > 1, negative coordinates and
+    # coordinates near 10^12
+    rng = random.Random(12)
+    ds = (-1, -2, -3, -5, -7, -14, -23, -221, -3299, 2, 3, 5, 10, 13, 79, 631)
+    big = 10**12
+    for f in [rational_field()] + [make_field(d) for d in ds]:
+        ys = (0,) if f.is_rational else (0, 1, -1, 6, -big)
+        sample = [f.element(x, y) for x in (0, 1, -1, 12, big - 1) for y in ys if x or y]
+        if f.is_real:
+            u = fundamental_unit(f)
+            sample += [u, -u, u * u]
+        elif f.is_imaginary:
+            sample += list(roots_of_unity(f))
+        for scale in (20, big):
+            for _ in range(100):
+                c = rng.choice((1, 1, 2, 6, 35))
+                x = c * rng.randint(-scale, scale)
+                y = 0 if f.is_rational else c * rng.randint(-scale, scale)
+                if x or y:
+                    sample.append(f.element(x, y))
+        for e in sample:
+            assert principal_ideal(e) == ideal_from_elements(f, [e]), (f.label(), e)
+            if e.is_unit():
+                assert principal_ideal(e) == unit_ideal(f), (f.label(), e)
+        with pytest.raises(ZeroElementError):
+            principal_ideal(f.zero)
 
 
 def test_ideal_norm_by_residue_count():

@@ -217,3 +217,27 @@ def test_pow_squares_no_further_than_the_top_bit(monkeypatch):
         products.clear()
         e**n
         assert len(products) == cost, n
+
+
+def test_ring_element_is_a_value_with_ring_operations():
+    # equal and hashed by value across separate constructions, immutable,
+    # and +, -, *, ** are ring operations, not the tuple's concatenation
+    # or repetition
+    e, e2 = F5.element(3, 2), RingElement(F5, 3, 2)
+    assert e == e2 and hash(e) == hash(e2) and {e: 1}[e2] == 1
+    assert e != F5.element(2, 3) and e != F1.element(3, 2)
+    with pytest.raises(AttributeError):
+        e.x = 4
+    assert e + e == F5.element(6, 4)
+    assert e - F5.element(1, 5) == F5.element(2, -3)
+    assert e * e == F5.element(9 - 5 * 4, 12)  # (3 + 2w)^2, w^2 = -5
+    assert e**2 == e * e and e**0 == F5.one and e**3 == e * e * e
+    h = make_field(-3).element(2, 1)  # w^2 = w - 1
+    assert h * h == make_field(-3).element(3, 5) and h + h == make_field(-3).element(4, 2)
+    with pytest.raises(TypeError):
+        2 * e
+    for op in (lambda: e + F1.one, lambda: e - F1.one, lambda: e * F1.one):
+        with pytest.raises(MixedFieldError):
+            op()
+    assert [str(t) for t in (e, -e, F5.element(0, -1), F5.element(4), h)] == [
+        "3+2*√-5", "-3-2*√-5", "-√-5", "4", "2+(1+√-3)/2"]
